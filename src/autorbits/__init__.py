@@ -37,6 +37,7 @@ from .errors import (
     NotDiscreteError,
     ParseError,
     RefinementRoundError,
+    ResourceLimitError,
     SizeLimitError,
     SizeMismatchError,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "Permutation",
     "RefinementConfig",
     "RefinementRoundError",
+    "ResourceLimitError",
     "RunStats",
     "STRATEGIES",
     "SizeLimitError",

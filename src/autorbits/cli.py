@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or isomorphic), 1 non-isomorphic, 2 inconclusive or
 lower_bound where certification was requested (iso / verify), 3 parse error,
-4 usage error, 5 internal invariant violation.
+4 usage error, 5 internal invariant violation or any other unexpected error,
+6 resource limit (out of memory or recursion depth).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from .assembly import is_assembled, project_to_vertices
 from .engine import (
@@ -26,6 +28,7 @@ from .errors import (
     AutorbitsError,
     InternalInvariantError,
     ParseError,
+    ResourceLimitError,
     SizeLimitError,
 )
 from .oracle import OracleLimit, brute_aut, brute_orbits
@@ -38,6 +41,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_PARSE = 3
 EXIT_USAGE = 4
 EXIT_INTERNAL = 5
+EXIT_RESOURCE = 6
 
 
 class _UsageError(Exception):
@@ -268,6 +272,28 @@ def emit_report(payload, json_mode):
     return "\n".join(lines) + "\n"
 
 
+def _dispatch(args):
+    """Run one parsed command; resource exhaustion becomes a typed error."""
+    try:
+        if args.command in ("orbits", "auts"):
+            return _cmd_orbits(args, args.command)
+        if args.command == "iso":
+            return _cmd_iso(args)
+        if args.command == "refine":
+            return _cmd_refine(args)
+        if args.command == "oracle-orbits":
+            return _cmd_oracle_orbits(args)
+        if args.command == "oracle-aut":
+            return _cmd_oracle_aut(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        return _cmd_assembly(args)
+    except MemoryError as exc:
+        raise ResourceLimitError("out of memory") from exc
+    except RecursionError as exc:
+        raise ResourceLimitError(str(exc)) from exc
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -277,20 +303,7 @@ def main(argv=None):
         return EXIT_USAGE
 
     try:
-        if args.command in ("orbits", "auts"):
-            payload, code = _cmd_orbits(args, args.command)
-        elif args.command == "iso":
-            payload, code = _cmd_iso(args)
-        elif args.command == "refine":
-            payload, code = _cmd_refine(args)
-        elif args.command == "oracle-orbits":
-            payload, code = _cmd_oracle_orbits(args)
-        elif args.command == "oracle-aut":
-            payload, code = _cmd_oracle_aut(args)
-        elif args.command == "verify":
-            payload, code = _cmd_verify(args)
-        else:
-            payload, code = _cmd_assembly(args)
+        payload, code = _dispatch(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -300,12 +313,19 @@ def main(argv=None):
     except SizeLimitError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except (InternalInvariantError, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except AutorbitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     sys.stdout.write(emit_report(payload, args.json))
     return code

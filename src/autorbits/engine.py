@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,11 @@ from .partitions import OrderedPartition, partition_join
 from .refine import RefinementConfig, individualize_sequence, refine
 
 STRATEGIES = ("least_fixed", "min_class", "first")
+
+# Bound on one run's stage store, counted in stored vertex entries
+# (stages times n). A stored stage is O(n), so this caps the store's memory
+# while leaving room for every distinct fix sequence of a desk-scale run.
+STAGE_STORE_VERTICES = 1 << 18
 
 CERTIFIED = "certified"
 LOWER_BOUND = "lower_bound"
@@ -63,8 +68,12 @@ class StageGraph:
 
     base: object
     fixes: tuple
-    graph: object
     coloring: object
+
+    @property
+    def graph(self):
+        """The individualized graph, rebuilt on demand to keep stages O(n)."""
+        return individualize_sequence(self.base, self.fixes)
 
 
 @dataclass
@@ -86,7 +95,8 @@ class IsoResult:
 
 
 class _Run:
-    """Mutable per-run state: config, strategy, stats, fixation history."""
+    """Mutable per-run state: config, strategy, stats, fixation history and
+    the stage store."""
 
     def __init__(self, g, cfg=None, strategy="least_fixed", stats=None):
         if strategy not in STRATEGIES:
@@ -96,18 +106,27 @@ class _Run:
         self.strategy = strategy
         self.stats = stats if stats is not None else RunStats()
         self.history = np.zeros(g.n, dtype=np.int64)
-        self._base_stage = None
+        self._stages = {}
 
     def stage(self, fixes):
+        """Stage of a fix sequence, refined once per run and then recalled.
+
+        The store is least-recently-used: a hit moves its key to the back
+        and an insert evicts from the front, so frequently asked stages
+        (the base stage above all) stay resident.
+        """
         fixes = tuple(int(v) for v in fixes)
-        if not fixes and self._base_stage is not None:
-            return self._base_stage
-        graph = individualize_sequence(self.g, fixes)
-        self.stats.refine_calls += 1
-        coloring = refine(graph, self.cfg)
-        out = StageGraph(base=self.g, fixes=fixes, graph=graph, coloring=coloring)
-        if not fixes:
-            self._base_stage = out
+        out = self._stages.pop(fixes, None)
+        if out is None:
+            self.stats.refine_calls += 1
+            coloring = refine(individualize_sequence(self.g, fixes), self.cfg)
+            # The engine never reads the n^2 pair coloring; drop it.
+            coloring = replace(coloring, pair_coloring=None)
+            out = StageGraph(base=self.g, fixes=fixes, coloring=coloring)
+            capacity = max(1, STAGE_STORE_VERTICES // self.g.n)
+            if len(self._stages) >= capacity:
+                del self._stages[next(iter(self._stages))]
+        self._stages[fixes] = out
         return out
 
     def form(self, stage):
@@ -151,18 +170,18 @@ def canonical_form_discrete(stage):
     """Deterministic byte form of a discrete stage.
 
     The base graph's matrix is rewritten in canonical class order and
-    prefixed with the refinement trace digest (which pins the per-class
-    signature sequence). Two stages of one graph get equal forms exactly
-    when the class-order bijection between them is a verified automorphism
-    waiting to be extracted.
+    prefixed with the refinement trace digest (which also pins the
+    individualized graph's order and color count). Two stages of one graph
+    get equal forms exactly when the class-order bijection between them is
+    a verified automorphism waiting to be extracted.
     """
     part = stage.coloring.vertex_partition
     if not part.is_discrete():
         raise NotDiscreteError("canonical form requires a discrete coloring")
-    order = np.fromiter((c[0] for c in part.classes), dtype=np.int64, count=part.n)
-    head = struct.pack(">qq", stage.base.n, stage.graph.color_count)
+    head = struct.pack(">q", stage.base.n)
+    order = _class_order(stage)
     body = stage.base.colors[np.ix_(order, order)].tobytes()
-    return head + stage.coloring.trace_digest + b"".join(stage.coloring.signatures) + body
+    return head + stage.coloring.trace_digest + body
 
 
 def _class_order(stage):
@@ -389,6 +408,7 @@ def compute_orbits(
     stats=None,
     verify_depth=None,
     verify_nodes=None,
+    _run=None,
 ):
     """Accumulate an automorphic partition until it meets the stable coloring.
 
@@ -399,7 +419,7 @@ def compute_orbits(
     (sandwich certificate), lower_bound when the iteration budget is spent
     with no progress and every candidate pair refused to merge.
     """
-    run = _Run(g, cfg, strategy, stats=stats)
+    run = _run or _Run(g, cfg, strategy, stats=stats)
     base = run.stage(())
     stable = base.coloring.vertex_partition
     q = OrderedPartition.singletons(g.n)
@@ -523,6 +543,7 @@ def iso_test(g1, g2, cfg=None, budget=None, strategy="least_fixed"):
         return IsoResult(NON_ISOMORPHIC, None, None, stats)
 
     union = disjoint_union(g1, g2)
+    union_run = _Run(union, cfg, strategy, stats=stats)
     # Cross-side merges get no help from fix-sequence growth (any fix breaks
     # the side symmetry), so the union run needs room for one descent level
     # per independent symmetry pocket.
@@ -531,9 +552,9 @@ def iso_test(g1, g2, cfg=None, budget=None, strategy="least_fixed"):
         cfg,
         strategy,
         budget,
-        stats=stats,
         verify_depth=union.n,
         verify_nodes=32 * union.n,
+        _run=union_run,
     )
     start = _side_crossing_start(system.partition, n)
     if start is not None:
@@ -549,7 +570,6 @@ def iso_test(g1, g2, cfg=None, budget=None, strategy="least_fixed"):
     if system.status == CERTIFIED:
         return IsoResult(NON_ISOMORPHIC, None, system, stats)
 
-    union_run = _Run(union, cfg, strategy, stats=stats)
     for members in union_run.stage(()).coloring.vertex_partition.classes:
         left = sum(1 for v in members if v < n)
         if left * 2 != len(members):

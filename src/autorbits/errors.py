@@ -29,6 +29,10 @@ class SizeLimitError(AutorbitsError):
     """Brute-force enumeration refused an input above the configured cap."""
 
 
+class ResourceLimitError(AutorbitsError):
+    """A run exhausted memory or the interpreter's recursion limit."""
+
+
 class InternalInvariantError(AutorbitsError):
     """The engine produced something that fails its own soundness gates."""
 

@@ -58,7 +58,6 @@ class StableColoring:
     vertex_partition: OrderedPartition
     pair_coloring: np.ndarray | None
     rounds_used: int
-    signatures: tuple[bytes, ...]
     trace: tuple[bytes, ...]
     trace_digest: bytes
 
@@ -96,15 +95,10 @@ def _unique_rows(rows):
 def _finish(k, g, ords, pair, rounds, trace):
     trace = tuple(trace)
     trace_digest = _digest(b"T", _pack(k, g.n, g.color_count), *trace)
-    part = OrderedPartition(ords)
-    sigs = tuple(
-        _digest(b"C", trace_digest, _pack(cid)) for cid in range(part.class_count)
-    )
     return StableColoring(
-        vertex_partition=part,
+        vertex_partition=OrderedPartition(ords),
         pair_coloring=pair,
         rounds_used=rounds,
-        signatures=sigs,
         trace=trace,
         trace_digest=trace_digest,
     )

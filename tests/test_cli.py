@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 from autorbits import complete_graph, cycle_graph, emit_cdg, path_graph
 from util import rigid6
@@ -195,6 +196,37 @@ def test_internal_invariant_exit_code(tmp_path, monkeypatch, capsys):
     code = cli_module.main(["orbits", path])
     assert code == 5
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_limit_exit_code(tmp_path, monkeypatch, capsys, error):
+    from autorbits import cli as cli_module
+
+    path = write_graph(tmp_path, "k3.cdg", complete_graph(3))
+
+    def exhaust(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(cli_module, "compute_orbits", exhaust)
+    code = cli_module.main(["orbits", path])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert "resource limit" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_error_exit_code(tmp_path, monkeypatch, capsys):
+    from autorbits import cli as cli_module
+
+    path = write_graph(tmp_path, "k3.cdg", complete_graph(3))
+
+    def broken(*args, **kwargs):
+        raise KeyError("synthetic")
+
+    monkeypatch.setattr(cli_module, "compute_orbits", broken)
+    code = cli_module.main(["orbits", path])
+    assert code == 5
+    assert "internal error: KeyError" in capsys.readouterr().err
 
 
 def test_budget_flag(tmp_path):

@@ -21,14 +21,17 @@ from autorbits import (
     disjoint_union,
     extract_isomorphism,
     find_regular_stage,
+    individualize_sequence,
     is_automorphism,
     iso_test,
     path_graph,
     petersen_graph,
     pick_fix_vertex,
+    refine,
     stage_orbits,
     verify_merge,
 )
+from autorbits import engine
 from autorbits.engine import _Run
 from util import (
     random_permutation,
@@ -87,6 +90,70 @@ def test_regular_stage_postcondition():
             for y in members:
                 follow = refine_with_fixes(g, list(stage.fixes) + [y], K2)
                 assert follow.is_discrete()
+
+
+# ----------------------------------------------------------- stage store
+
+
+def test_stage_store_returns_the_stored_object():
+    run = _Run(cycle_graph(6), K1)
+    first = run.stage((0, 2))
+    assert run.stage([0, 2]) is first
+    assert run.stage(()) is run.stage(())
+    assert run.stats.refine_calls == 2
+
+
+def test_stage_store_refines_each_distinct_tuple_once(monkeypatch):
+    calls = []
+    real_refine = engine.refine
+
+    def counting_refine(g, cfg=None):
+        calls.append(g)
+        return real_refine(g, cfg)
+
+    monkeypatch.setattr(engine, "refine", counting_refine)
+    run = _Run(petersen_graph(), K2)
+    asked = [(), (0,), (0, 1), (), (0,), (1, 0), (0, 1), ()]
+    for fixes in asked:
+        run.stage(fixes)
+    assert len(calls) == len(set(asked)) == run.stats.refine_calls
+
+
+def test_stored_stage_holds_no_pair_matrix():
+    g = petersen_graph()
+    fixes = (3, 7)
+    stage = _Run(g, K2).stage(fixes)
+    assert stage.coloring.pair_coloring is None
+    assert stage.graph == individualize_sequence(g, fixes)
+    full = refine(individualize_sequence(g, fixes), K2)
+    assert full.pair_coloring is not None
+    assert stage.coloring.vertex_partition == full.vertex_partition
+    assert stage.coloring.trace_digest == full.trace_digest
+
+
+@pytest.mark.parametrize("g", [petersen_graph(), complete_graph(8)], ids=["petersen", "k8"])
+def test_bounded_stage_store_gives_the_same_orbits(g, monkeypatch):
+    default = compute_orbits(g, K2)
+    bound = 3 * g.n
+    monkeypatch.setattr(engine, "STAGE_STORE_VERTICES", bound)
+    run = _Run(g, K2)
+    stored = run.stage
+    sizes = []
+
+    def checked_stage(fixes):
+        out = stored(fixes)
+        sizes.append(len(run._stages) * g.n)
+        return out
+
+    run.stage = checked_stage
+    small = compute_orbits(g, K2, _run=run)
+    assert sizes and max(sizes) <= bound
+    assert small.partition == default.partition
+    assert small.status == default.status == CERTIFIED
+    assert [w.as_list() for w in small.generators] == [
+        w.as_list() for w in default.generators
+    ]
+    assert small.stats.refine_calls > default.stats.refine_calls
 
 
 # ------------------------------------------------- forms and extraction
