@@ -14,9 +14,9 @@ from autorbits import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    individualize_sequence,
     path_graph,
     refine,
-    refine_with_fixes,
 )
 
 k1 = RefinementConfig(k=1)
@@ -29,12 +29,12 @@ print("P3, k=1 classes:", refine(path_graph(3), k1).vertex_partition.classes)
 print("K4, k=1 classes:", refine(complete_graph(4), k1).vertex_partition.classes)
 
 # ...until somebody gets individualized.
-print("K4 with vertex 0 fixed:", refine_with_fixes(complete_graph(4), [0], k1).vertex_partition.classes)
-print("K4 with 0 and 1 fixed: ", refine_with_fixes(complete_graph(4), [0, 1], k1).vertex_partition.classes)
+print("K4 with vertex 0 fixed:", refine(individualize_sequence(complete_graph(4), [0]), k1).vertex_partition.classes)
+print("K4 with 0 and 1 fixed: ", refine(individualize_sequence(complete_graph(4), [0, 1]), k1).vertex_partition.classes)
 
 # Fixing one vertex of C5 reveals the orbit structure of its stabilizer:
 # the two neighbors are interchangeable, and so are the two far vertices.
-print("C5 with v0 fixed:      ", refine_with_fixes(cycle_graph(5), [0], k1).vertex_partition.classes)
+print("C5 with v0 fixed:      ", refine(individualize_sequence(cycle_graph(5), [0]), k1).vertex_partition.classes)
 
 # Walking V^2 instead of V sees strictly more. A triangle next to a square
 # looks homogeneous to k=1 (everything has degree 2), but pair refinement

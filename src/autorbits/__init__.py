@@ -36,7 +36,6 @@ from .errors import (
     NoCandidateError,
     NotDiscreteError,
     ParseError,
-    RefinementRoundError,
     ResourceLimitError,
     SizeLimitError,
     SizeMismatchError,
@@ -63,15 +62,8 @@ from .graphs import (
     petersen_graph,
 )
 from .oracle import OracleLimit, brute_aut, brute_iso, brute_orbits, closure_orbits
-from .partitions import OrderedPartition, normalize_colors, partition_join
-from .refine import (
-    RefinementConfig,
-    StableColoring,
-    individualize,
-    individualize_sequence,
-    refine,
-    refine_with_fixes,
-)
+from .partitions import OrderedPartition, partition_join
+from .refine import RefinementConfig, StableColoring, individualize_sequence, refine
 
 __version__ = "0.1.0"
 
@@ -95,7 +87,6 @@ __all__ = [
     "ParseError",
     "Permutation",
     "RefinementConfig",
-    "RefinementRoundError",
     "ResourceLimitError",
     "RunStats",
     "STRATEGIES",
@@ -119,13 +110,11 @@ __all__ = [
     "extract_isomorphism",
     "find_regular_stage",
     "from_undirected_edges",
-    "individualize",
     "individualize_sequence",
     "is_assembled",
     "is_automorphism",
     "iso_test",
     "load_document",
-    "normalize_colors",
     "parse_graph",
     "parse_window_set",
     "partition_join",
@@ -134,7 +123,6 @@ __all__ = [
     "pick_fix_vertex",
     "project_to_vertices",
     "refine",
-    "refine_with_fixes",
     "sniff_format",
     "stage_orbits",
     "verify_merge",

@@ -85,8 +85,6 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--format", choices=("graph6", "dimacs", "cdg", "ws"),
                        default=None, help="override input format sniffing")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; all defaults are deterministic")
         return p
 
     add("orbits", "orbit partition and generators of a graph")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -54,12 +54,7 @@ class RunStats:
     depth_budget_hits: int = 0
 
     def as_dict(self):
-        return {
-            "refine_calls": self.refine_calls,
-            "canonical_form_calls": self.canonical_form_calls,
-            "verify_tree_nodes": self.verify_tree_nodes,
-            "verify_tree_depth_max": self.verify_tree_depth_max,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -198,7 +193,7 @@ def extract_isomorphism(s1, s2):
     """
     if not s1.coloring.is_discrete() or not s2.coloring.is_discrete():
         raise NotDiscreteError("isomorphism extraction requires discrete stages")
-    if s1.base.n != s2.base.n or s1.coloring.trace != s2.coloring.trace:
+    if s1.base.n != s2.base.n or s1.coloring.trace_digest != s2.coloring.trace_digest:
         return None
     o1 = _class_order(s1)
     o2 = _class_order(s2)
@@ -353,7 +348,7 @@ def _descend(run, s1, s2, level, depth_budget, node_budget):
     run.stats.verify_tree_nodes += 2
     if level > run.stats.verify_tree_depth_max:
         run.stats.verify_tree_depth_max = level
-    if s1.coloring.trace != s2.coloring.trace:
+    if s1.coloring.trace_digest != s2.coloring.trace_digest:
         return None
     if s1.coloring.is_discrete():
         if run.form(s1) != run.form(s2):
@@ -534,7 +529,7 @@ def iso_test(g1, g2, cfg=None, budget=None, strategy="least_fixed"):
 
     run1 = _Run(g1, cfg, strategy, stats=stats)
     run2 = _Run(g2, cfg, strategy, stats=stats)
-    if run1.stage(()).coloring.trace != run2.stage(()).coloring.trace:
+    if run1.stage(()).coloring.trace_digest != run2.stage(()).coloring.trace_digest:
         return IsoResult(NON_ISOMORPHIC, None, None, stats)
 
     profile1 = sorted(run1.stage((v,)).coloring.trace_digest for v in range(n))

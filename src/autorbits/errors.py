@@ -21,10 +21,6 @@ class NoCandidateError(AutorbitsError):
     """No fixable vertex remains (the coloring is discrete)."""
 
 
-class RefinementRoundError(AutorbitsError):
-    """Refinement failed to stabilize within its round cap; this is a bug."""
-
-
 class SizeLimitError(AutorbitsError):
     """Brute-force enumeration refused an input above the configured cap."""
 

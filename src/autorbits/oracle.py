@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SizeLimitError, SizeMismatchError
 from .graphs import Permutation
-from .partitions import OrderedPartition
+from .partitions import join_pairs
 
 _CHUNK = 40320
 
@@ -103,27 +103,7 @@ def closure_orbits(n, gens):
     Computed by transitively closing generator images on vertices; the group
     itself is never enumerated. Class ids follow smallest members.
     """
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in gens:
-        if p.n != n:
-            raise SizeMismatchError("generator size does not match n")
-        for v in range(n):
-            a, b = find(v), find(int(p.image[v]))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-    roots = {}
-    class_of = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        class_of[v] = roots[r]
-    return OrderedPartition(class_of)
+    gens = list(gens)
+    if any(p.n != n for p in gens):
+        raise SizeMismatchError("generator size does not match n")
+    return join_pairs(n, ((v, w) for p in gens for v, w in enumerate(p.image.tolist())))

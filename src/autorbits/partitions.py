@@ -11,8 +11,8 @@ class OrderedPartition:
     """A partition of [0, n) whose classes carry explicit, meaningful ids.
 
     Class ids must be dense in [0, class_count). The id order is whatever the
-    producer chose: refinement emits signature-sorted ids, joins emit
-    min-element order, and normalize_colors recanonicalizes arbitrary input.
+    producer chose: refinement emits signature-sorted ids and joins emit
+    min-element order.
     """
 
     __slots__ = ("n", "class_of", "classes")
@@ -104,13 +104,23 @@ def partition_join(p, q):
     """Finest partition coarser than both p and q (the lattice join).
 
     Two vertices end up together iff they are linked by a chain of
-    overlapping p- and q-classes; a disjoint-set union over class overlaps
-    realizes exactly that chain closure. Output class ids follow smallest
-    members.
+    overlapping p- and q-classes, i.e. iff they are connected by the pairs
+    linking each class to its first member.
     """
     if p.n != q.n:
         raise SizeMismatchError("partition sizes differ")
-    parent = list(range(p.n))
+    return join_pairs(
+        p.n, ((m[0], v) for part in (p, q) for m in part.classes for v in m[1:])
+    )
+
+
+def join_pairs(n, pairs):
+    """Partition of [0, n) into the connected components of the vertex pairs.
+
+    A disjoint-set union with path halving; output class ids follow
+    smallest members.
+    """
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -118,72 +128,16 @@ def partition_join(p, q):
             x = parent[x]
         return x
 
-    def union(a, b):
+    for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for part in (p, q):
-        for members in part.classes:
-            for v in members[1:]:
-                union(members[0], v)
-
     roots = {}
-    class_of = np.empty(p.n, dtype=np.int64)
-    for v in range(p.n):
+    class_of = np.empty(n, dtype=np.int64)
+    for v in range(n):
         r = find(v)
         if r not in roots:
             roots[r] = len(roots)
         class_of[v] = roots[r]
     return OrderedPartition(class_of)
-
-
-def normalize_colors(g, p):
-    """Reassign class ids of p canonically with respect to g.
-
-    Each class gets an iteratively refined signature built only from raw pair
-    colors, class sizes, and previously established signature ranks, so the
-    id assignment commutes with vertex relabeling whenever the signatures
-    separate the classes (always true for stable refinement output, where
-    equal signatures would have been merged). Residual ties fall back to
-    smallest-vertex order.
-    """
-    if p.n != g.n:
-        raise SizeMismatchError("partition does not match graph order")
-    colors = g.colors
-    k = p.class_count
-    sigs = [
-        (len(members), tuple(sorted(int(colors[v, v]) for v in members)))
-        for members in p.classes
-    ]
-    ranks = _rank(sigs)
-    for _ in range(k):
-        class_rank = [ranks[int(c)] for c in p.class_of]
-        new_sigs = []
-        for cid, members in enumerate(p.classes):
-            profile = tuple(
-                sorted(
-                    tuple(
-                        sorted(
-                            (int(colors[v, w]), int(colors[w, v]), class_rank[w])
-                            for w in range(g.n)
-                        )
-                    )
-                    for v in members
-                )
-            )
-            new_sigs.append((ranks[cid], profile))
-        new_ranks = _rank(new_sigs)
-        if new_ranks == ranks:
-            break
-        ranks, sigs = new_ranks, new_sigs
-    order = sorted(range(k), key=lambda c: (sigs[c], p.classes[c][0]))
-    relabel = {cid: i for i, cid in enumerate(order)}
-    return OrderedPartition([relabel[int(c)] for c in p.class_of])
-
-
-def _rank(sigs):
-    """Dense ranks of signatures; equal signatures share a rank."""
-    ordered = sorted(set(sigs))
-    pos = {s: i for i, s in enumerate(ordered)}
-    return [pos[s] for s in sigs]

@@ -7,10 +7,17 @@ ordinals by sorting the resulting signature rows lexicographically
 pair colors and previous ordinals, the ordinal assignment commutes with
 vertex relabeling: the class order is canonical.
 
-A run also keeps a *trace*: one digest per round over the sorted signature
-rows and their multiplicities. Two refinement runs with equal traces have
-ordinal-for-ordinal comparable colorings, which is what lets the engine
-compare colorings across different individualizations of the same graph.
+One loop serves every dimension k; a dimension only supplies its atoms
+(the round-0 rows), how a cell's row sees the other cells, and how the
+stable cell ids become vertex and pair colorings. Each round's rows lead
+with the old id, so the class count rises strictly until it stops
+changing, and a refine ends within n^k rounds.
+
+A run also hashes its *trace*, the sorted signature rows and their
+multiplicities of every round, into ``trace_digest``. Two refinement runs
+with equal digests have ordinal-for-ordinal comparable colorings, which is
+what lets the engine compare colorings across different individualizations
+of the same graph.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RefinementRoundError
 from .graphs import EdgeColoredGraph
 from .partitions import OrderedPartition
 
@@ -30,25 +36,17 @@ REFINEMENT_DIMENSIONS = (1, 2, 3)
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    """Stabilization dimension k and an optional round cap.
+    """Stabilization dimension k.
 
     k=3 walks V^3 and costs n^4 work per round; it is off the default path
     and intended for desk-scale experiments only.
     """
 
     k: int = 2
-    max_rounds: int | None = None
 
     def __post_init__(self):
         if self.k not in REFINEMENT_DIMENSIONS:
             raise ValueError(f"k must be one of {REFINEMENT_DIMENSIONS}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-
-    def round_cap(self, g):
-        if self.max_rounds is not None:
-            return self.max_rounds
-        return g.n ** self.k * g.color_count + 1
 
 
 @dataclass(frozen=True)
@@ -58,26 +56,21 @@ class StableColoring:
     vertex_partition: OrderedPartition
     pair_coloring: np.ndarray | None
     rounds_used: int
-    trace: tuple[bytes, ...]
     trace_digest: bytes
 
     def is_discrete(self):
         return self.vertex_partition.is_discrete()
 
 
-def _digest(*chunks):
-    h = hashlib.blake2b(digest_size=16)
-    for c in chunks:
-        h.update(c)
-    return h.digest()
-
-
 def _pack(*ints):
     return struct.pack(f">{len(ints)}q", *ints)
 
 
-def _round_digest(tag, round_no, row_bytes, count, counts):
-    return _digest(tag, _pack(round_no, count), row_bytes, counts.tobytes())
+def _round_digest(tag, round_no, row_bytes, count, ids):
+    h = hashlib.blake2b(digest_size=16)
+    for chunk in (tag, _pack(round_no, count), row_bytes, np.bincount(ids).tobytes()):
+        h.update(chunk)
+    return h.digest()
 
 
 def _unique_rows(rows):
@@ -92,66 +85,63 @@ def _unique_rows(rows):
     return uniq.tobytes(), inverse.reshape(-1).astype(np.int64), int(uniq.size)
 
 
-def _finish(k, g, ords, pair, rounds, trace):
-    trace = tuple(trace)
-    trace_digest = _digest(b"T", _pack(k, g.n, g.color_count), *trace)
-    return StableColoring(
-        vertex_partition=OrderedPartition(ords),
-        pair_coloring=pair,
-        rounds_used=rounds,
-        trace=trace,
-        trace_digest=trace_digest,
-    )
-
-
 def refine(g, cfg=None):
     """Stable coloring of g under the configured stabilization dimension."""
     cfg = cfg or RefinementConfig()
-    if cfg.k == 1:
-        return _refine_k1(g, cfg.round_cap(g))
-    if cfg.k == 2:
-        return _refine_k2(g, cfg.round_cap(g))
-    return _refine_k3(g, cfg.round_cap(g))
-
-
-def _refine_k1(g, cap):
-    n = g.n
-    colors = g.colors
-    diag = np.ascontiguousarray(colors.diagonal())
-    uniq, ords = np.unique(diag, return_inverse=True)
-    ords = ords.reshape(n).astype(np.int64)
-    counts = np.bincount(ords)
-    trace = [_round_digest(b"k1", 0, uniq.astype(">i8").tobytes(), int(uniq.size), counts)]
-
-    # One int encodes the triple (color to w, color from w, ordinal of w).
-    base = (colors * g.color_count + colors.T) * np.int64(n + 1)
-    class_count = int(uniq.size)
+    atoms, neighbours, finish = _DIMENSIONS[cfg.k](g)
+    tag = b"k%d" % cfg.k
+    trace = hashlib.blake2b(b"T" + _pack(cfg.k, g.n, g.color_count), digest_size=16)
+    row_bytes, ids, class_count = _unique_rows(atoms)
+    trace.update(_round_digest(tag, 0, row_bytes, class_count, ids))
     rounds = 0
-    while class_count < n:
-        enc = base + ords[None, :]
+    while class_count < ids.size:
+        enc = neighbours(ids, np.int64(class_count))
         enc.sort(axis=1)
-        rows = np.concatenate((ords[:, None], enc), axis=1)
-        row_bytes, new_ords, new_count = _unique_rows(rows)
+        rows = np.concatenate((ids[:, None], enc), axis=1)
+        row_bytes, new_ids, new_count = _unique_rows(rows)
         if new_count == class_count:
             break
-        ords = new_ords
+        ids = new_ids
         class_count = new_count
         rounds += 1
-        trace.append(_round_digest(b"k1", rounds, row_bytes, new_count, np.bincount(ords)))
-        if rounds > cap:
-            raise RefinementRoundError(f"k=1 refinement did not stabilize in {cap} rounds")
-    return _finish(1, g, ords, None, rounds, trace)
+        trace.update(_round_digest(tag, rounds, row_bytes, new_count, ids))
+    vertex_ids, pair = finish(ids)
+    return StableColoring(
+        vertex_partition=OrderedPartition(vertex_ids),
+        pair_coloring=pair,
+        rounds_used=rounds,
+        trace_digest=trace.digest(),
+    )
 
 
-def _refine_k2(g, cap):
+def _dense(values):
+    _, inverse = np.unique(values, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64)
+
+
+def _setup_k1(g):
+    n = g.n
+    colors = g.colors
+    # One int encodes the triple (color to w, color from w, ordinal of w).
+    base = (colors * g.color_count + colors.T) * np.int64(n + 1)
+
+    def neighbours(ords, scale):
+        return base + ords[None, :]
+
+    def finish(ords):
+        return ords, None
+
+    return colors.diagonal()[:, None], neighbours, finish
+
+
+def _setup_k2(g):
     n = g.n
     colors = g.colors
     diag = colors.diagonal()
-    eye = np.eye(n, dtype=np.int64)
     # Atomic pair type: equality pattern plus the induced 2x2 color data.
     atoms = np.stack(
         (
-            eye,
+            np.eye(n, dtype=np.int64),
             colors,
             colors.T,
             np.broadcast_to(diag[:, None], (n, n)),
@@ -159,34 +149,20 @@ def _refine_k2(g, cap):
         ),
         axis=-1,
     ).reshape(n * n, 5)
-    row_bytes, pair, class_count = _unique_rows(atoms)
-    trace = [_round_digest(b"k2", 0, row_bytes, class_count, np.bincount(pair))]
 
-    rounds = 0
-    while class_count < n * n:
+    def neighbours(pair, scale):
         mat = pair.reshape(n, n)
-        k_scale = np.int64(class_count)
         # enc[u, v, w] = (color of (u, w), color of (w, v)) packed into one int.
-        enc = mat[:, None, :] * k_scale + mat.T[None, :, :]
-        enc = enc.reshape(n * n, n)
-        enc.sort(axis=1)
-        rows = np.concatenate((pair[:, None], enc), axis=1)
-        row_bytes, new_pair, new_count = _unique_rows(rows)
-        if new_count == class_count:
-            break
-        pair = new_pair
-        class_count = new_count
-        rounds += 1
-        trace.append(_round_digest(b"k2", rounds, row_bytes, new_count, np.bincount(pair)))
-        if rounds > cap:
-            raise RefinementRoundError(f"k=2 refinement did not stabilize in {cap} rounds")
+        return (mat[:, None, :] * scale + mat.T[None, :, :]).reshape(n * n, n)
 
-    mat = pair.reshape(n, n)
-    _, vords = np.unique(mat.diagonal(), return_inverse=True)
-    return _finish(2, g, vords.reshape(n).astype(np.int64), mat.copy(), rounds, trace)
+    def finish(pair):
+        mat = pair.reshape(n, n)
+        return _dense(mat.diagonal()), mat
+
+    return atoms, neighbours, finish
 
 
-def _refine_k3(g, cap):
+def _setup_k3(g):
     n = g.n
     colors = g.colors
     idx = np.arange(n)
@@ -203,58 +179,37 @@ def _refine_k3(g, cap):
     for d in (u, v, w):
         parts.append(np.broadcast_to(colors[d, d], (n, n, n)).astype(np.int64))
     atoms = np.stack(parts, axis=-1).reshape(n**3, len(parts))
-    row_bytes, trip, class_count = _unique_rows(atoms)
-    trace = [_round_digest(b"k3", 0, row_bytes, class_count, np.bincount(trip))]
 
-    rounds = 0
-    while class_count < n**3:
+    def neighbours(trip, scale):
         cube = trip.reshape(n, n, n)
-        k_scale = np.int64(class_count)
         # Substitute x into each of the three positions of (u, v, w).
         c0 = np.moveaxis(cube, 0, 2)[None, :, :, :]
         c1 = np.moveaxis(cube, 1, 2)[:, None, :, :]
         c2 = cube[:, :, None, :]
-        enc = (c0 * k_scale + c1) * k_scale + c2
-        enc = enc.reshape(n**3, n)
-        enc.sort(axis=1)
-        rows = np.concatenate((trip[:, None], enc), axis=1)
-        row_bytes, new_trip, new_count = _unique_rows(rows)
-        if new_count == class_count:
-            break
-        trip = new_trip
-        class_count = new_count
-        rounds += 1
-        trace.append(_round_digest(b"k3", rounds, row_bytes, new_count, np.bincount(trip)))
-        if rounds > cap:
-            raise RefinementRoundError(f"k=3 refinement did not stabilize in {cap} rounds")
+        return ((c0 * scale + c1) * scale + c2).reshape(n**3, n)
 
-    cube = trip.reshape(n, n, n)
-    pair_view = cube[idx[:, None], idx[None, :], idx[None, :]]
-    _, pair = np.unique(pair_view, return_inverse=True)
-    pair = pair.reshape(n, n).astype(np.int64)
-    _, vords = np.unique(cube[idx, idx, idx], return_inverse=True)
-    return _finish(3, g, vords.reshape(n).astype(np.int64), pair, rounds, trace)
+    def finish(trip):
+        cube = trip.reshape(n, n, n)
+        pair = _dense(cube[idx[:, None], idx[None, :], idx[None, :]]).reshape(n, n)
+        return _dense(cube[idx, idx, idx]), pair
+
+    return atoms, neighbours, finish
 
 
-def individualize(g, v):
-    """Give vertex v a fresh diagonal color; all other entries unchanged.
-
-    The fresh id is the current color_count; if v's old diagonal color had
-    its last occurrence there, construction compacts ids order-preservingly.
-    """
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for order {g.n}")
-    mat = g.colors.copy()
-    mat[v, v] = g.color_count
-    return EdgeColoredGraph(mat)
+# Each setup returns the round-0 atom rows (one per cell of V^k), a
+# neighbours(ids, scale) giving each cell's n packed views of other cells
+# (scale exceeds every id), and a finish(ids) giving the vertex ids and the
+# pair coloring (None for k=1).
+_DIMENSIONS = {1: _setup_k1, 2: _setup_k2, 3: _setup_k3}
 
 
 def individualize_sequence(g, fixes):
-    """Fold individualize over fixes in order; fixes must be distinct.
+    """Give each fix vertex, in order, its own fresh diagonal color.
 
-    Computed in one pass: fresh ids always land above every existing id and
-    compaction preserves order, so assigning color_count + i to the i-th fix
-    and compacting once matches the fold exactly.
+    The i-th fix gets color_count + i; fresh ids always land above every
+    existing id and construction compacts ids order-preservingly, so the
+    result does not depend on folding one-vertex steps. Fixes must be
+    distinct vertices of g.
     """
     seen = set()
     for v in fixes:
@@ -269,8 +224,3 @@ def individualize_sequence(g, fixes):
     for i, v in enumerate(fixes):
         mat[v, v] = g.color_count + i
     return EdgeColoredGraph(mat)
-
-
-def refine_with_fixes(g, fixes, cfg=None):
-    """Stable coloring after individualizing the fix sequence in order."""
-    return refine(individualize_sequence(g, fixes), cfg)

@@ -39,6 +39,7 @@ def test_orbits_k4(tmp_path):
         "canonical_form_calls",
         "verify_tree_nodes",
         "verify_tree_depth_max",
+        "depth_budget_hits",
     }
 
 
@@ -154,9 +155,9 @@ def test_json_deterministic_across_runs(tmp_path):
     assert len(outputs) == 1
 
 
-def test_seed_flag_accepted(tmp_path):
+def test_seed_flag_rejected(tmp_path):
     path = write_graph(tmp_path, "k3.cdg", complete_graph(3))
-    assert run_cli("orbits", path, "--seed", "7", "--json").returncode == 0
+    assert run_cli("orbits", path, "--seed", "7", "--json").returncode == 4
 
 
 def test_verify_lower_bound_exit_code(tmp_path):

@@ -75,8 +75,6 @@ def test_regular_stage_c5():
 def test_regular_stage_postcondition():
     # any single further individualization of a non-singleton vertex is discrete
     rng = np.random.default_rng(30)
-    from autorbits import refine_with_fixes
-
     for _ in range(10):
         g = random_simple_graph(rng, int(rng.integers(4, 8)), 0.5)
         stage = find_regular_stage(g, K2)
@@ -88,7 +86,7 @@ def test_regular_stage_postcondition():
             if len(members) < 2:
                 continue
             for y in members:
-                follow = refine_with_fixes(g, list(stage.fixes) + [y], K2)
+                follow = refine(individualize_sequence(g, list(stage.fixes) + [y]), K2)
                 assert follow.is_discrete()
 
 

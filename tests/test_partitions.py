@@ -6,18 +6,10 @@ from autorbits import (
     OrderedPartition,
     Permutation,
     SizeMismatchError,
-    apply_permutation,
     closure_orbits,
-    complete_graph,
-    normalize_colors,
     partition_join,
-    path_graph,
 )
-from util import (
-    all_set_partitions,
-    random_colored_digraph,
-    random_permutation,
-)
+from util import all_set_partitions, random_permutation
 
 
 def P(*classes):
@@ -105,53 +97,6 @@ def test_join_lemma_property_random_generator_sets():
         s2 = [random_permutation(rng, n) for _ in range(int(rng.integers(1, 4)))]
         joined = partition_join(closure_orbits(n, s1), closure_orbits(n, s2))
         assert joined.same_blocks(closure_orbits(n, s1 + s2))
-
-
-def test_normalize_colors_single_class():
-    g = complete_graph(3)
-    p = normalize_colors(g, OrderedPartition.single_class(3))
-    assert p.classes == ((0, 1, 2),)
-
-
-def test_normalize_colors_path_is_deterministic():
-    g = path_graph(3)
-    p = OrderedPartition.from_classes([[1], [0, 2]])
-    q = OrderedPartition.from_classes([[0, 2], [1]])
-    assert normalize_colors(g, p) == normalize_colors(g, q)
-
-
-def test_normalize_colors_idempotent():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        n = int(rng.integers(2, 8))
-        g = random_colored_digraph(rng, n)
-        p = OrderedPartition(np.asarray(_dense(rng, n)))
-        once = normalize_colors(g, p)
-        assert normalize_colors(g, once) == once
-
-
-def _dense(rng, n):
-    labels = rng.integers(0, max(1, n - 1), size=n)
-    _, dense = np.unique(labels, return_inverse=True)
-    return dense
-
-
-def test_normalize_colors_equivariance():
-    rng = np.random.default_rng(4)
-    done = 0
-    while done < 200:
-        n = int(rng.integers(3, 8))
-        g = random_colored_digraph(rng, n, colors=5)
-        p = OrderedPartition(np.asarray(_dense(rng, n)))
-        perm = random_permutation(rng, n)
-        gp = apply_permutation(g, perm)
-        pp = OrderedPartition([int(p.class_of[perm.inverse()(v)]) for v in range(n)])
-        left = normalize_colors(gp, pp)
-        right = normalize_colors(g, p)
-        # relabeled normalization == normalization of relabeled instance
-        expect = [int(right.class_of[perm.inverse()(v)]) for v in range(n)]
-        assert left.class_of.tolist() == expect
-        done += 1
 
 
 def test_join_size_mismatch():

@@ -8,11 +8,9 @@ from autorbits import (
     brute_orbits,
     complete_graph,
     cycle_graph,
-    individualize,
     individualize_sequence,
     path_graph,
     refine,
-    refine_with_fixes,
 )
 from util import random_permutation, random_simple_graph, rigid6
 
@@ -57,29 +55,32 @@ def test_c5_k2_pair_classes():
 
 def test_stability_one_more_round_is_no_op():
     rng = np.random.default_rng(20)
-    for cfg in (K1, K2):
+    for cfg in (K1, K2, K3):
         for _ in range(10):
-            g = random_simple_graph(rng, int(rng.integers(3, 8)), 0.5)
+            n = int(rng.integers(3, 8))
+            g = random_simple_graph(rng, n, 0.5)
             first = refine(g, cfg)
             again = refine(g, cfg)
             assert first.vertex_partition == again.vertex_partition
             assert first.rounds_used == again.rounds_used
+            # The class count rises strictly each round and is at most n^k.
+            assert first.rounds_used < n ** cfg.k
 
 
 def test_individualize_makes_fresh_singleton():
     g = complete_graph(4)
-    part = refine(individualize(g, 0), K1).vertex_partition
+    part = refine(individualize_sequence(g, [0]), K1).vertex_partition
     assert part.same_blocks(OrderedPartition.from_classes([[0], [1, 2, 3]]))
 
 
 def test_individualize_out_of_range():
     with pytest.raises(ValueError):
-        individualize(complete_graph(3), 3)
+        individualize_sequence(complete_graph(3), [3])
 
 
 def test_individualize_already_unique_color_is_recoloring_only():
-    once = individualize(path_graph(3), 1)  # vertex 1 now has a unique diagonal color
-    twice = individualize(once, 1)
+    once = individualize_sequence(path_graph(3), [1])  # vertex 1 now has a unique diagonal color
+    twice = individualize_sequence(once, [1])
     # same partition structure of the matrix: entries equal iff equal before
     flat_a = once.colors.flatten()
     flat_b = twice.colors.flatten()
@@ -89,29 +90,29 @@ def test_individualize_already_unique_color_is_recoloring_only():
 
 
 def test_c5_individualized_stabilizer_orbits():
-    part = refine_with_fixes(cycle_graph(5), [0], K1).vertex_partition
+    part = refine(individualize_sequence(cycle_graph(5), [0]), K1).vertex_partition
     assert part.same_blocks(OrderedPartition.from_classes([[0], [1, 4], [2, 3]]))
 
 
-def test_refine_with_fixes_examples():
+def test_fix_sequence_examples():
     g = complete_graph(4)
-    assert refine_with_fixes(g, [], K1).vertex_partition == refine(g, K1).vertex_partition
-    p2 = refine_with_fixes(g, [0, 1], K1).vertex_partition
+    assert refine(individualize_sequence(g, []), K1).vertex_partition == refine(g, K1).vertex_partition
+    p2 = refine(individualize_sequence(g, [0, 1]), K1).vertex_partition
     assert p2.same_blocks(OrderedPartition.from_classes([[0], [1], [2, 3]]))
-    assert refine_with_fixes(g, [0, 1, 2], K1).vertex_partition.is_discrete()
+    assert refine(individualize_sequence(g, [0, 1, 2]), K1).vertex_partition.is_discrete()
 
 
-def test_refine_with_fixes_rejects_duplicates():
+def test_fix_sequence_rejects_duplicates():
     with pytest.raises(ValueError):
-        refine_with_fixes(complete_graph(4), [0, 0], K1)
+        individualize_sequence(complete_graph(4), [0, 0])
     with pytest.raises(ValueError):
         individualize_sequence(complete_graph(4), [5])
 
 
 def test_fix_order_within_singleton_classes_is_partition_neutral():
     g = path_graph(4)  # refinement splits ends from middles; fix one of each
-    a = refine_with_fixes(g, [0, 1], K1).vertex_partition
-    b = refine_with_fixes(g, [1, 0], K1).vertex_partition
+    a = refine(individualize_sequence(g, [0, 1]), K1).vertex_partition
+    b = refine(individualize_sequence(g, [1, 0]), K1).vertex_partition
     assert a.same_blocks(b)
 
 
@@ -125,7 +126,7 @@ def test_equivariance(cfg):
         perm = random_permutation(rng, n)
         left = refine(apply_permutation(g, perm), cfg)
         right = refine(g, cfg)
-        assert left.trace == right.trace
+        assert left.trace_digest == right.trace_digest
         assert left.vertex_partition == relabel_partition(right.vertex_partition, perm)
 
 
@@ -172,7 +173,7 @@ def test_individualization_strictly_refines():
         g = random_simple_graph(rng, n, 0.5)
         base = refine(g, K2).vertex_partition
         for v in range(n):
-            finer = refine_with_fixes(g, [v], K2).vertex_partition
+            finer = refine(individualize_sequence(g, [v]), K2).vertex_partition
             assert finer.is_finer_or_equal(base)
             assert len(finer.classes[int(finer.class_of[v])]) == 1
 
@@ -187,22 +188,13 @@ def test_never_coarser_than_diagonal():
     for _ in range(20):
         n = int(rng.integers(3, 7))
         g = random_simple_graph(rng, n, 0.5)
-        g2 = individualize(g, 0)
+        g2 = individualize_sequence(g, [0])
         part = refine(g2, K1).vertex_partition
         diag = g2.colors.diagonal()
         for members in part.classes:
             assert len({int(diag[v]) for v in members}) == 1
 
 
-def test_round_cap_exceeded_raises():
-    from autorbits import RefinementRoundError
-
-    with pytest.raises(RefinementRoundError):
-        refine(path_graph(5), RefinementConfig(k=1, max_rounds=1))
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         RefinementConfig(k=4)
-    with pytest.raises(ValueError):
-        RefinementConfig(k=1, max_rounds=0)
