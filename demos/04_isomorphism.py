@@ -2,15 +2,18 @@
 Isomorphism testing, including a classic hard pair
 ==================================================
 
-Two graphs are tested by computing orbits of their tagged disjoint union:
-an orbit crossing the two sides yields an explicit, entrywise-verified
-isomorphism. Non-isomorphism is only ever declared on sound invariant
-separations, so false positives and false negatives are both impossible;
-when neither side wins, the verdict is "inconclusive".
+Two graphs are tested by a lock-step descent: individualize a vertex of
+the first graph and, in turn, each vertex of the matching class of the
+second, refine both, and go on while the refinement traces agree. A
+discrete pair with equal forms yields an explicit, entrywise-verified
+isomorphism. A search that ends without hitting its node budget proves
+non-isomorphism, since an isomorphism would have been followed down one of
+the tried branches; when the budget cuts it, the verdict is "inconclusive".
+False positives and false negatives are both impossible.
 
 The 4x4 rook's graph and the Shrikhande graph are both strongly regular
 with parameters (16, 6, 2, 2): plain refinement cannot tell them apart at
-any of its dimensions below 3, but one individualization changes that.
+any of its dimensions below 3, but individualization changes that.
 """
 
 import time
@@ -61,6 +64,15 @@ t0 = time.perf_counter()
 strong = iso_test(rook_4x4(), shrikhande(), k2)
 print(f"\nrook vs Shrikhande, k=2: {strong.verdict} ({time.perf_counter() - t0:.2f}s)")
 
-# With k=1 the engine cannot separate them and says so, rather than guess.
+# With k=1 no single individualization separates them, so the descent has
+# to search: it exhausts every branch (737 stage pairs) and finds none that
+# leads to an isomorphism.
+t0 = time.perf_counter()
 weak = iso_test(rook_4x4(), shrikhande(), k1)
-print(f"rook vs Shrikhande, k=1: {weak.verdict} (witness: {weak.witness})")
+print(f"rook vs Shrikhande, k=1: {weak.verdict} ({time.perf_counter() - t0:.2f}s, "
+      f"{weak.stats.verify_tree_nodes // 2} stage pairs)")
+
+# A node budget bounds the search; when it cuts the search short, the
+# engine says so rather than guess.
+cut = iso_test(rook_4x4(), shrikhande(), k1, budget=100)
+print(f"rook vs Shrikhande, k=1, budget 100: {cut.verdict} (witness: {cut.witness})")

@@ -79,7 +79,9 @@ def build_parser():
         p.add_argument("--strategy", choices=("least_fixed", "min_class", "first"),
                        default="least_fixed", help="fix-vertex strategy")
         p.add_argument("--budget", type=int, default=None,
-                       help="iteration cap (default: class-count rule)")
+                       help="orbits/verify: iteration cap (default: class-count "
+                            "rule); iso: descent node cap, two per stage pair "
+                            "(default: 128 n)")
         p.add_argument("--max-n", type=int, default=None,
                        help="brute-force size cap override")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -134,14 +136,13 @@ def _cmd_iso(args):
     g1 = _graph_from(args, "file")
     g2 = _graph_from(args, "file2")
     t0 = time.perf_counter()
-    result = iso_test(g1, g2, _cfg(args), args.budget, args.strategy)
+    result = iso_test(g1, g2, _cfg(args), args.budget)
     elapsed = time.perf_counter() - t0
     payload = {
         "command": "iso",
         "n": g1.n,
         "verdict": result.verdict,
         "witness": result.witness.as_list() if result.witness else None,
-        "status": result.orbit_system.status if result.orbit_system else None,
         "stats": _stats_payload(result.stats),
         "runtime_ms": int(elapsed * 1000),
     }

@@ -1,6 +1,7 @@
 """Orbit engine: individualization to a regular stage, isomorphism-grouping
-of the resulting discrete colorings, join-based accumulation, and a
-class-merge verification procedure.
+of the resulting discrete colorings, join-based accumulation, a
+class-merge verification procedure, and an isomorphism test that runs the
+same lock-step descent over two graphs.
 
 The engine only ever *claims* what it can witness: every merge of two
 vertices into one orbit class is backed by an explicitly verified
@@ -23,7 +24,8 @@ from .errors import (
     NoCandidateError,
     NotDiscreteError,
 )
-from .graphs import Permutation, apply_permutation, disjoint_union, is_automorphism
+from .graphs import Permutation, apply_permutation, is_automorphism
+from .graphs import disjoint_union  # noqa: F401  (the benchmark tracer wraps engine.disjoint_union)
 from .oracle import closure_orbits
 from .partitions import OrderedPartition, partition_join
 from .refine import RefinementConfig, individualize_sequence, refine
@@ -65,11 +67,6 @@ class StageGraph:
     fixes: tuple
     coloring: object
 
-    @property
-    def graph(self):
-        """The individualized graph, rebuilt on demand to keep stages O(n)."""
-        return individualize_sequence(self.base, self.fixes)
-
 
 @dataclass
 class OrbitSystem:
@@ -85,7 +82,7 @@ class OrbitSystem:
 class IsoResult:
     verdict: str
     witness: Permutation | None
-    orbit_system: OrbitSystem | None
+    orbit_system: OrbitSystem | None  # always None; the benchmark tracer reads it
     stats: RunStats
 
 
@@ -187,24 +184,29 @@ def _class_order(stage):
 def extract_isomorphism(s1, s2):
     """Class-order bijection between two discrete stages, fully verified.
 
-    Returns None unless the bijection maps s1's individualized matrix onto
-    s2's entrywise (and, for a shared base graph, is an automorphism of that
-    base). Never returns an unverified map.
+    Returns None unless the bijection sends s1's fixes to s2's in order and
+    maps s1's base graph onto s2's entrywise (an automorphism check when the
+    two stages share their base). Together these say that it maps the
+    individualized graphs onto each other. Never returns an unverified map.
     """
     if not s1.coloring.is_discrete() or not s2.coloring.is_discrete():
         raise NotDiscreteError("isomorphism extraction requires discrete stages")
-    if s1.base.n != s2.base.n or s1.coloring.trace_digest != s2.coloring.trace_digest:
+    if (
+        s1.base.n != s2.base.n
+        or len(s1.fixes) != len(s2.fixes)
+        or s1.coloring.trace_digest != s2.coloring.trace_digest
+    ):
         return None
     o1 = _class_order(s1)
     o2 = _class_order(s2)
     image = np.empty(s1.base.n, dtype=np.int64)
     image[o1] = o2
     perm = Permutation(image)
-    if apply_permutation(s1.graph, perm) != s2.graph:
+    if any(perm(a) != b for a, b in zip(s1.fixes, s2.fixes)):
         return None
-    if s1.base == s2.base and not is_automorphism(s1.base, perm):
-        return None
-    return perm
+    if s1.base is s2.base:
+        return perm if is_automorphism(s1.base, perm) else None
+    return perm if apply_permutation(s1.base, perm) == s2.base else None
 
 
 def find_regular_stage(g, cfg=None, strategy="least_fixed", *, first_seed=None, _run=None):
@@ -310,7 +312,6 @@ def verify_merge(
     # is already failing, so give up on the witness rather than enumerate.
     if node_budget is None:
         node_budget = max(64, 8 * g.n)
-    remaining_nodes = [node_budget]
 
     fixes = []
     coloring = run.stage(()).coloring
@@ -332,7 +333,7 @@ def verify_merge(
 
     t1 = run.stage(tuple(fixes) + (o1,))
     t2 = run.stage(tuple(fixes) + (o2,))
-    witness = _descend(run, t1, t2, 1, depth_budget, remaining_nodes)
+    witness, _ = _descend(run, run, t1, t2, depth_budget, node_budget)
     if witness is None:
         return None
     if witness(o1) != o2 or not is_automorphism(g, witness):
@@ -340,42 +341,64 @@ def verify_merge(
     return witness
 
 
-def _descend(run, s1, s2, level, depth_budget, node_budget):
-    """Lock-step descent over co-individualized stage pairs."""
-    if node_budget[0] <= 0:
-        return None
-    node_budget[0] -= 2
-    run.stats.verify_tree_nodes += 2
-    if level > run.stats.verify_tree_depth_max:
-        run.stats.verify_tree_depth_max = level
-    if s1.coloring.trace_digest != s2.coloring.trace_digest:
-        return None
-    if s1.coloring.is_discrete():
-        if run.form(s1) != run.form(s2):
-            return None
-        return extract_isomorphism(s1, s2)
-    if level >= depth_budget:
-        run.stats.depth_budget_hits += 1
-        return None
-    classes1 = s1.coloring.vertex_partition.classes
-    classes2 = s2.coloring.vertex_partition.classes
-    target = next(i for i, c in enumerate(classes1) if len(c) > 1)
-    a = classes1[target][0]
-    extended1 = run.stage(s1.fixes + (a,))
-    for b in classes2[target]:
-        witness = _descend(
-            run,
-            extended1,
-            run.stage(s2.fixes + (b,)),
-            level + 1,
-            depth_budget,
-            node_budget,
-        )
-        if witness is not None:
-            return witness
-        if node_budget[0] <= 0:
-            return None
-    return None
+def _descend(run1, run2, s1, s2, depth_budget, node_budget):
+    """Lock-step descent over co-individualized stage pairs.
+
+    s1 and its extensions are stages of run1, s2 and its extensions stages
+    of run2 (verify_merge passes one run twice). Each level fixes the first
+    vertex a of s1's first non-singleton class and tries every b of the
+    same class of s2, depth first, pruning on unequal traces; a discrete
+    pair with equal forms yields the verified class-order bijection. Each
+    visited pair spends two of node_budget.
+
+    Returns (witness, cut): witness is None when no pair yielded one, and
+    cut tells whether the node budget stopped the search before it was
+    exhausted. The search is an explicit stack, so depth is not bounded by
+    Python's recursion limit.
+    """
+    stats = run1.stats
+    # One frame per open level: (level of its pairs, s1's extension, s2's
+    # fixes, untried b of s2's target class).
+    stack = []
+    level = 1
+    while True:
+        if node_budget <= 0:
+            return None, True
+        node_budget -= 2
+        stats.verify_tree_nodes += 2
+        stats.verify_tree_depth_max = max(stats.verify_tree_depth_max, level)
+        expanded = False
+        if s1.coloring.trace_digest == s2.coloring.trace_digest:
+            if s1.coloring.is_discrete():
+                if run1.form(s1) == run2.form(s2):
+                    witness = extract_isomorphism(s1, s2)
+                    if witness is not None:
+                        return witness, False
+            elif level >= depth_budget:
+                stats.depth_budget_hits += 1
+            else:
+                classes1 = s1.coloring.vertex_partition.classes
+                target = next(i for i, c in enumerate(classes1) if len(c) > 1)
+                extended1 = run1.stage(s1.fixes + (classes1[target][0],))
+                members2 = s2.coloring.vertex_partition.classes[target]
+                stack.append((level + 1, extended1, s2.fixes, iter(members2)))
+                expanded = True
+        # Next pair: the first child of an expanded pair, else the next
+        # untried sibling at the deepest open level. A sibling is refined
+        # only while budget remains; a first child meets the check on entry.
+        while True:
+            if not stack:
+                return None, False
+            level, s1, fixes2, untried = stack[-1]
+            b = next(untried, None)
+            if b is None:
+                stack.pop()
+                expanded = False
+                continue
+            if not expanded and node_budget <= 0:
+                return None, True
+            break
+        s2 = run2.stage(fixes2 + (b,))
 
 
 def _merge_candidates(q, stable, attempted):
@@ -401,8 +424,6 @@ def compute_orbits(
     budget=None,
     *,
     stats=None,
-    verify_depth=None,
-    verify_nodes=None,
     _run=None,
 ):
     """Accumulate an automorphic partition until it meets the stable coloring.
@@ -419,7 +440,7 @@ def compute_orbits(
     stable = base.coloring.vertex_partition
     q = OrderedPartition.singletons(g.n)
     generators = []
-    depth_budget = verify_depth if verify_depth is not None else _default_depth_budget(g.n)
+    depth_budget = _default_depth_budget(g.n)
     attempted = set()
     max_iters = budget if budget is not None else max(1, g.n - 1)
     seed_ptr = 0
@@ -435,9 +456,7 @@ def compute_orbits(
         part, new_gens = stage_orbits(g, stage, strategy=strategy, _run=run)
         generators.extend(new_gens)
         q = partition_join(q, part)
-        q, generators = _verify_sweep(
-            run, q, stable, generators, attempted, depth_budget, verify_nodes
-        )
+        q, generators = _verify_sweep(run, q, stable, generators, attempted, depth_budget)
         if q.same_blocks(before):
             no_change += 1
             if no_change >= max(1, q.class_count - 1):
@@ -452,7 +471,7 @@ def compute_orbits(
     return OrbitSystem(q.sorted_by_min(), tuple(generators), status, run.stats)
 
 
-def _verify_sweep(run, q, stable, generators, attempted, depth_budget, node_budget):
+def _verify_sweep(run, q, stable, generators, attempted, depth_budget):
     """Try verify_merge on candidate class pairs until none succeeds."""
     while not q.same_blocks(stable):
         progress = False
@@ -460,15 +479,7 @@ def _verify_sweep(run, q, stable, generators, attempted, depth_budget, node_budg
             attempted.add(key)
             ca = int(q.class_of[key[0]])
             cb = int(q.class_of[key[1]])
-            witness = verify_merge(
-                run.g,
-                q,
-                ca,
-                cb,
-                depth_budget=depth_budget,
-                node_budget=node_budget,
-                _run=run,
-            )
+            witness = verify_merge(run.g, q, ca, cb, depth_budget=depth_budget, _run=run)
             if witness is not None:
                 generators.append(witness)
                 q = partition_join(q, closure_orbits(run.g.n, [witness]))
@@ -479,95 +490,28 @@ def _verify_sweep(run, q, stable, generators, attempted, depth_budget, node_budg
     return q, generators
 
 
-def _side_crossing_start(partition, n_left):
-    for members in partition.classes:
-        left = [v for v in members if v < n_left]
-        right = [v for v in members if v >= n_left]
-        if left and right:
-            return left[0]
-    return None
+def iso_test(g1, g2, cfg=None, budget=None):
+    """Isomorphism test by lock-step descent over the two input graphs.
 
-
-def _orbit_witness_to_right(generators, n_left, start):
-    """BFS over generator images from start until a right-side vertex, with
-    the composed permutation as witness."""
-    n = 2 * n_left
-    witness = {start: Permutation.identity(n)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            wv = witness[v]
-            for gen in generators:
-                t = gen(v)
-                if t in witness:
-                    continue
-                witness[t] = gen.compose(wv)
-                if t >= n_left:
-                    return witness[t]
-                nxt.append(t)
-        frontier = nxt
-    return None
-
-
-def iso_test(g1, g2, cfg=None, budget=None, strategy="least_fixed"):
-    """Isomorphism test by orbit computation on the tagged disjoint union.
-
-    A verified witness is returned when some accumulated orbit (hence some
-    product of verified generators) crosses the two sides. Non-isomorphism
-    is declared only on sound invariant separations: differing refinement
-    traces, differing one-vertex individualization profiles, certified
-    non-crossing orbits, or a stable union class with unequal side counts.
-    Anything else is inconclusive. False positives are impossible: every
-    witness is checked entrywise.
+    The descent starts from the two base stages and, level by level, fixes
+    the first vertex a of g1's first non-singleton class and tries every b
+    of the same class of g2, pruning pairs with unequal refinement traces.
+    A discrete pair with equal forms yields a witness, verified entrywise,
+    so false positives are impossible. A search exhausted without a
+    node-budget cut proves non-isomorphism: an isomorphism phi maps a to
+    the tried b = phi(a) and preserves traces at every level, and at a
+    discrete leaf the class-order bijection is phi itself. A cut gives
+    inconclusive. budget is the node budget in verify_tree_nodes units
+    (two per stage pair), by default 128 n.
     """
     stats = RunStats()
-    cfg = cfg or RefinementConfig()
     if g1.n != g2.n or g1.color_count != g2.color_count:
         return IsoResult(NON_ISOMORPHIC, None, None, stats)
-    n = g1.n
-
-    run1 = _Run(g1, cfg, strategy, stats=stats)
-    run2 = _Run(g2, cfg, strategy, stats=stats)
-    if run1.stage(()).coloring.trace_digest != run2.stage(()).coloring.trace_digest:
-        return IsoResult(NON_ISOMORPHIC, None, None, stats)
-
-    profile1 = sorted(run1.stage((v,)).coloring.trace_digest for v in range(n))
-    profile2 = sorted(run2.stage((v,)).coloring.trace_digest for v in range(n))
-    if profile1 != profile2:
-        return IsoResult(NON_ISOMORPHIC, None, None, stats)
-
-    union = disjoint_union(g1, g2)
-    union_run = _Run(union, cfg, strategy, stats=stats)
-    # Cross-side merges get no help from fix-sequence growth (any fix breaks
-    # the side symmetry), so the union run needs room for one descent level
-    # per independent symmetry pocket.
-    system = compute_orbits(
-        union,
-        cfg,
-        strategy,
-        budget,
-        verify_depth=union.n,
-        verify_nodes=32 * union.n,
-        _run=union_run,
-    )
-    start = _side_crossing_start(system.partition, n)
-    if start is not None:
-        crossing = _orbit_witness_to_right(system.generators, n, start)
-        if crossing is None:
-            raise InternalInvariantError("crossing orbit without a generator path")
-        image = crossing.image[:n] - n
-        witness = Permutation(image)
-        if apply_permutation(g1, witness) != g2:
-            raise InternalInvariantError("crossing witness failed verification")
-        return IsoResult(ISOMORPHIC, witness, system, stats)
-
-    if system.status == CERTIFIED:
-        return IsoResult(NON_ISOMORPHIC, None, system, stats)
-
-    for members in union_run.stage(()).coloring.vertex_partition.classes:
-        left = sum(1 for v in members if v < n)
-        if left * 2 != len(members):
-            return IsoResult(NON_ISOMORPHIC, None, system, stats)
-
-    return IsoResult(INCONCLUSIVE, None, system, stats)
+    run1 = _Run(g1, cfg, stats=stats)
+    run2 = _Run(g2, cfg, stats=stats)
+    node_budget = budget if budget is not None else 128 * g1.n
+    # A stage with n - 1 fixes is discrete, so level n is never cut.
+    witness, cut = _descend(run1, run2, run1.stage(()), run2.stage(()), g1.n, node_budget)
+    if witness is not None:
+        return IsoResult(ISOMORPHIC, witness, None, stats)
+    return IsoResult(INCONCLUSIVE if cut else NON_ISOMORPHIC, None, None, stats)

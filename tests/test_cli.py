@@ -177,11 +177,25 @@ def test_verify_lower_bound_exit_code(tmp_path):
 def test_iso_inconclusive_exit_code(tmp_path):
     from util import rook_graph_4x4, shrikhande_graph
 
+    # exhausting this pair's descent at k=1 takes 1474 nodes
+    a = write_graph(tmp_path, "rook.cdg", rook_graph_4x4())
+    b = write_graph(tmp_path, "shrik.cdg", shrikhande_graph())
+    proc = run_cli("iso", a, b, "--k", "1", "--budget", "100", "--json")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["verdict"] == "inconclusive"
+
+
+def test_iso_default_budget_separates_hard_pair(tmp_path):
+    from util import rook_graph_4x4, shrikhande_graph
+
     a = write_graph(tmp_path, "rook.cdg", rook_graph_4x4())
     b = write_graph(tmp_path, "shrik.cdg", shrikhande_graph())
     proc = run_cli("iso", a, b, "--k", "1", "--json")
-    assert proc.returncode == 2
-    assert json.loads(proc.stdout)["verdict"] == "inconclusive"
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert payload["verdict"] == "non_isomorphic"
+    assert payload["witness"] is None
+    assert set(payload) == {"command", "n", "verdict", "witness", "stats", "runtime_ms"}
 
 
 def test_internal_invariant_exit_code(tmp_path, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from autorbits import (
     OrderedPartition,
     RefinementConfig,
     apply_permutation,
+    brute_iso,
     brute_orbits,
     canonical_form_discrete,
     closure_orbits,
@@ -21,6 +22,7 @@ from autorbits import (
     disjoint_union,
     extract_isomorphism,
     find_regular_stage,
+    from_undirected_edges,
     individualize_sequence,
     is_automorphism,
     iso_test,
@@ -122,7 +124,6 @@ def test_stored_stage_holds_no_pair_matrix():
     fixes = (3, 7)
     stage = _Run(g, K2).stage(fixes)
     assert stage.coloring.pair_coloring is None
-    assert stage.graph == individualize_sequence(g, fixes)
     full = refine(individualize_sequence(g, fixes), K2)
     assert full.pair_coloring is not None
     assert stage.coloring.vertex_partition == full.vertex_partition
@@ -416,6 +417,90 @@ def test_iso_hard_pair_k1_never_false_positive():
     result = iso_test(rook_graph_4x4(), shrikhande_graph(), K1)
     assert result.verdict in (NON_ISOMORPHIC, INCONCLUSIVE)
     assert result.witness is None
+
+
+def _atlas_graphs(n):
+    from networkx.generators.atlas import graph_atlas_g
+
+    return [
+        from_undirected_edges(n, list(G.edges()))
+        for G in graph_atlas_g()
+        if G.number_of_nodes() == n
+    ]
+
+
+@pytest.mark.parametrize("cfg", [K1, K2], ids=["k1", "k2"])
+def test_iso_decides_small_isomorphism_classes(cfg):
+    # Every ordered pair of the 34 five-vertex classes, and every pair of the
+    # 156 six-vertex classes that base refinement cannot tell apart; the
+    # second graph of each pair is relabeled.
+    rng = np.random.default_rng(38)
+    pairs = 0
+    for n, expected_classes in ((5, 34), (6, 156)):
+        graphs = _atlas_graphs(n)
+        assert len(graphs) == expected_classes
+        relabeled = [apply_permutation(g, random_permutation(rng, n)) for g in graphs]
+        traces1 = [refine(g, cfg).trace_digest for g in graphs]
+        traces2 = [refine(h, cfg).trace_digest for h in relabeled]
+        for i, g in enumerate(graphs):
+            for j, h in enumerate(relabeled):
+                if n == 6 and traces1[i] != traces2[j]:
+                    continue
+                pairs += 1
+                result = iso_test(g, h, cfg)
+                truth = brute_iso(g, h)
+                if truth is None:
+                    assert result.verdict == NON_ISOMORPHIC, (n, i, j)
+                    assert result.witness is None
+                else:
+                    assert result.verdict == ISOMORPHIC, (n, i, j)
+                    assert apply_permutation(g, result.witness) == h
+    assert pairs > 34 * 34 + 156
+
+
+def test_iso_relabeled_long_cycle_is_cheap():
+    rng = np.random.default_rng(39)
+    g = cycle_graph(100)
+    h = apply_permutation(g, random_permutation(rng, 100))
+    result = iso_test(g, h, K1)
+    assert result.verdict == ISOMORPHIC
+    assert apply_permutation(g, result.witness) == h
+    assert result.stats.refine_calls <= 10
+
+
+def test_iso_descent_is_not_recursive():
+    import sys
+
+    from autorbits import empty_graph
+
+    # The empty graph is individualized one vertex per level down to a
+    # discrete stage, so the descent is 150 levels deep.
+    rng = np.random.default_rng(40)
+    g = empty_graph(150)
+    h = apply_permutation(g, random_permutation(rng, 150))
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        result = iso_test(g, h, K1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.verdict == ISOMORPHIC
+    assert result.stats.verify_tree_depth_max >= 150
+
+
+def test_iso_budget_cut_is_inconclusive():
+    # Rook 4x4 vs Shrikhande at k=1 needs 1474 descent nodes to exhaust.
+    cut = iso_test(rook_graph_4x4(), shrikhande_graph(), K1, budget=100)
+    assert cut.verdict == INCONCLUSIVE and cut.witness is None
+    assert cut.stats.verify_tree_nodes <= 100
+    full = iso_test(rook_graph_4x4(), shrikhande_graph(), K1)
+    assert full.verdict == NON_ISOMORPHIC
+    assert full.stats.verify_tree_nodes == 1474
 
 
 def test_iso_stats_are_aggregated():
