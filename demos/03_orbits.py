@@ -14,6 +14,7 @@ exactly and the run reports status "certified".
 from autorbits import (
     OracleLimit,
     RefinementConfig,
+    Run,
     brute_orbits,
     closure_orbits,
     compute_orbits,
@@ -26,8 +27,9 @@ from autorbits import (
 
 k2 = RefinementConfig(k=2)
 
-# A regular stage of C5: one fixed vertex is enough.
-stage = find_regular_stage(cycle_graph(5), RefinementConfig(k=1))
+# A regular stage of C5: one fixed vertex is enough. The search phases take
+# a Run, which holds one graph, its config, counters and stage store.
+stage = find_regular_stage(Run(cycle_graph(5), RefinementConfig(k=1)))
 print("C5 regular stage fixes:", stage.fixes)
 print("stage classes:", stage.coloring.vertex_partition.classes)
 

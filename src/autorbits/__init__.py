@@ -15,9 +15,9 @@ from .engine import (
     ISOMORPHIC,
     LOWER_BOUND,
     NON_ISOMORPHIC,
-    STRATEGIES,
     IsoResult,
     OrbitSystem,
+    Run,
     RunStats,
     StageGraph,
     canonical_form_discrete,
@@ -25,7 +25,6 @@ from .engine import (
     extract_isomorphism,
     find_regular_stage,
     iso_test,
-    pick_fix_vertex,
     stage_orbits,
     verify_merge,
 )
@@ -33,7 +32,6 @@ from .errors import (
     AutorbitsError,
     InternalInvariantError,
     InvalidPartitionError,
-    NoCandidateError,
     NotDiscreteError,
     ParseError,
     ResourceLimitError,
@@ -79,7 +77,6 @@ __all__ = [
     "IsoResult",
     "LOWER_BOUND",
     "NON_ISOMORPHIC",
-    "NoCandidateError",
     "NotDiscreteError",
     "OracleLimit",
     "OrbitSystem",
@@ -88,8 +85,8 @@ __all__ = [
     "Permutation",
     "RefinementConfig",
     "ResourceLimitError",
+    "Run",
     "RunStats",
-    "STRATEGIES",
     "SizeLimitError",
     "SizeMismatchError",
     "StableColoring",
@@ -120,7 +117,6 @@ __all__ = [
     "partition_join",
     "path_graph",
     "petersen_graph",
-    "pick_fix_vertex",
     "project_to_vertices",
     "refine",
     "sniff_format",

@@ -61,6 +61,12 @@ def _stats_payload(stats):
     return (stats or RunStats()).as_dict()
 
 
+def _non_negative_int(text):
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(
         prog="autorbits",
@@ -76,12 +82,10 @@ def build_parser():
             p.add_argument("file2", help="second input file")
         p.add_argument("--k", type=int, choices=(1, 2, 3), default=2,
                        help="refinement dimension (default 2)")
-        p.add_argument("--strategy", choices=("least_fixed", "min_class", "first"),
-                       default="least_fixed", help="fix-vertex strategy")
-        p.add_argument("--budget", type=int, default=None,
-                       help="orbits/verify: iteration cap (default: class-count "
-                            "rule); iso: descent node cap, two per stage pair "
-                            "(default: 128 n)")
+        p.add_argument("--budget", type=_non_negative_int, default=None,
+                       help="at least 0; orbits/verify: iteration cap "
+                            "(default: n - 1); iso: descent node cap, two per "
+                            "stage pair (default: 128 n)")
         p.add_argument("--max-n", type=int, default=None,
                        help="brute-force size cap override")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -118,7 +122,7 @@ def _oracle_kwargs(args):
 def _cmd_orbits(args, command):
     g = _graph_from(args)
     t0 = time.perf_counter()
-    system = compute_orbits(g, _cfg(args), args.strategy, args.budget)
+    system = compute_orbits(g, _cfg(args), args.budget)
     elapsed = time.perf_counter() - t0
     payload = {
         "command": command,
@@ -206,7 +210,7 @@ def _cmd_oracle_aut(args):
 def _cmd_verify(args):
     g = _graph_from(args)
     t0 = time.perf_counter()
-    system = compute_orbits(g, _cfg(args), args.strategy, args.budget)
+    system = compute_orbits(g, _cfg(args), args.budget)
     oracle_partition = brute_orbits(g, **_oracle_kwargs(args))
     elapsed = time.perf_counter() - t0
     match = system.partition.same_blocks(oracle_partition)

@@ -19,18 +19,12 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    InternalInvariantError,
-    NoCandidateError,
-    NotDiscreteError,
-)
+from .errors import InternalInvariantError, NotDiscreteError
 from .graphs import Permutation, apply_permutation, is_automorphism
 from .graphs import disjoint_union  # noqa: F401  (the benchmark tracer wraps engine.disjoint_union)
 from .oracle import closure_orbits
 from .partitions import OrderedPartition, partition_join
 from .refine import RefinementConfig, individualize_sequence, refine
-
-STRATEGIES = ("least_fixed", "min_class", "first")
 
 # Bound on one run's stage store, counted in stored vertex entries
 # (stages times n). A stored stage is O(n), so this caps the store's memory
@@ -86,16 +80,13 @@ class IsoResult:
     stats: RunStats
 
 
-class _Run:
-    """Mutable per-run state: config, strategy, stats, fixation history and
-    the stage store."""
+class Run:
+    """One search over one graph: its config, stats, fixation history and
+    stage store. Every search phase takes a run."""
 
-    def __init__(self, g, cfg=None, strategy="least_fixed", stats=None):
-        if strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
+    def __init__(self, g, cfg=None, stats=None):
         self.g = g
         self.cfg = cfg or RefinementConfig()
-        self.strategy = strategy
         self.stats = stats if stats is not None else RunStats()
         self.history = np.zeros(g.n, dtype=np.int64)
         self._stages = {}
@@ -126,36 +117,40 @@ class _Run:
         return canonical_form_discrete(stage)
 
 
-def _candidate_order(coloring, history, strategy, exclude=()):
-    """Vertices in non-singleton classes, ordered by the fixing strategy."""
-    items = []
-    for cid, members in enumerate(coloring.vertex_partition.classes):
-        if len(members) < 2:
-            continue
-        for v in members:
-            if v in exclude:
-                continue
-            if strategy == "least_fixed":
-                key = (int(history[v]), len(members), cid, v)
-            elif strategy == "min_class":
-                key = (len(members), cid, v)
-            else:
-                key = (v,)
-            items.append((key, v))
-    items.sort()
-    return [v for _, v in items]
+def _candidate_order(coloring, history, exclude=()):
+    """Vertices in non-singleton classes, least often fixed first; ties go
+    to the smaller class, then the earlier class, then the smaller vertex."""
+    keys = sorted(
+        (int(history[v]), len(members), cid, v)
+        for cid, members in enumerate(coloring.vertex_partition.classes)
+        if len(members) > 1
+        for v in members
+        if v not in exclude
+    )
+    return [key[-1] for key in keys]
 
 
-def pick_fix_vertex(stage, history=None, strategy="least_fixed"):
-    """Next vertex to individualize, per strategy; error if none exists."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
-    if history is None:
-        history = np.zeros(stage.base.n, dtype=np.int64)
-    order = _candidate_order(stage.coloring, history, strategy)
-    if not order:
-        raise NoCandidateError("coloring is discrete; nothing left to fix")
-    return order[0]
+def _extend(run, stage, keep, exclude=(), first=None):
+    """Greedily lengthen stage's fix sequence while keep allows it.
+
+    Each step fixes the first candidate (first, when given, is tried before
+    all others at the first step) whose one-vertex extension satisfies keep,
+    and counts it in the run's history. Returns the stage at which no
+    candidate is kept.
+    """
+    while True:
+        candidates = _candidate_order(stage.coloring, run.history, exclude)
+        if first is not None:
+            candidates = [first] + [c for c in candidates if c != first]
+            first = None
+        for y in candidates:
+            trial = run.stage(stage.fixes + (y,))
+            if keep(trial):
+                run.history[y] += 1
+                stage = trial
+                break
+        else:
+            return stage
 
 
 def canonical_form_discrete(stage):
@@ -209,39 +204,21 @@ def extract_isomorphism(s1, s2):
     return perm if apply_permutation(s1.base, perm) == s2.base else None
 
 
-def find_regular_stage(g, cfg=None, strategy="least_fixed", *, first_seed=None, _run=None):
+def find_regular_stage(run, first_seed=None):
     """Extend a fix sequence until the coloring is non-discrete but any one
     further individualization makes it discrete.
 
     If the initial refinement is already discrete the empty-fix stage is
-    returned immediately. Termination is guaranteed: fixing everything is
-    discrete.
+    returned immediately. first_seed, when given, is the first vertex tried.
+    Termination is guaranteed: fixing everything is discrete.
     """
-    run = _run or _Run(g, cfg, strategy)
     stage = run.stage(())
     if stage.coloring.is_discrete():
         return stage
-    fixes = []
-    seed = first_seed
-    while True:
-        candidates = _candidate_order(stage.coloring, run.history, run.strategy)
-        if seed is not None:
-            candidates = [seed] + [c for c in candidates if c != seed]
-            seed = None
-        extension = None
-        for y in candidates:
-            trial = run.stage(tuple(fixes) + (y,))
-            if not trial.coloring.is_discrete():
-                extension = (y, trial)
-                break
-        if extension is None:
-            return stage
-        fixes.append(extension[0])
-        run.history[extension[0]] += 1
-        stage = extension[1]
+    return _extend(run, stage, lambda t: not t.coloring.is_discrete(), first=first_seed)
 
 
-def stage_orbits(g, stage, cfg=None, strategy="least_fixed", *, _run=None):
+def stage_orbits(run, stage):
     """Orbits of the subgroup found by grouping one-vertex extensions.
 
     Every vertex of every non-singleton stage class is individualized and
@@ -249,7 +226,6 @@ def stage_orbits(g, stage, cfg=None, strategy="least_fixed", *, _run=None):
     automorphisms. Returns the orbit partition of the witnessed subgroup
     together with the witnesses.
     """
-    run = _run or _Run(g, cfg, strategy)
     generators = []
     groups = {}
     for members in stage.coloring.vertex_partition.classes:
@@ -272,71 +248,46 @@ def stage_orbits(g, stage, cfg=None, strategy="least_fixed", *, _run=None):
                     "equal canonical forms failed isomorphism extraction"
                 )
             generators.append(witness)
-    return closure_orbits(g.n, generators), generators
+    return closure_orbits(run.g.n, generators), generators
 
 
 def _default_depth_budget(n):
     return max(1, math.ceil(math.log2(max(2, n)))) + 1
 
 
-def verify_merge(
-    g,
-    q_partition,
-    class_a,
-    class_b,
-    cfg=None,
-    depth_budget=None,
-    strategy="least_fixed",
-    node_budget=None,
-    *,
-    _run=None,
-):
-    """Search for an automorphism of g joining two classes of q_partition.
+def verify_merge(run, q_partition, class_a, class_b):
+    """Search for an automorphism of run.g joining two classes of q_partition.
 
     Grows a fix sequence that keeps the two class representatives in a
     common color class for as long as possible, then co-individualizes the
     representatives and descends the resulting pair of colorings in lock
-    step, one co-fixed vertex pair per level. Returns a verified witness or
-    None; None is *not* a proof that the classes are separate.
+    step, one co-fixed vertex pair per level. The descent is cut at depth
+    ceil(log2 n) + 1 and after max(64, 8 n) nodes. Returns a verified
+    witness or None; None is *not* a proof that the classes are separate.
     """
-    run = _run or _Run(g, cfg, strategy)
     if class_a == class_b:
         raise ValueError("classes to merge must be distinct")
     o1 = q_partition.classes[class_a][0]
     o2 = q_partition.classes[class_b][0]
-    if depth_budget is None:
-        depth_budget = _default_depth_budget(g.n)
-    if depth_budget < 1:
-        raise ValueError("depth_budget must be at least 1")
+
+    def together(stage):
+        class_of = stage.coloring.vertex_partition.class_of
+        return class_of[o1] == class_of[o2]
+
+    stage = run.stage(())
+    if not together(stage):
+        return None
+    stage = _extend(run, stage, together, exclude={o1, o2})
+
+    n = run.g.n
+    t1 = run.stage(stage.fixes + (o1,))
+    t2 = run.stage(stage.fixes + (o2,))
     # A successful search examines few graphs; a search past the node budget
     # is already failing, so give up on the witness rather than enumerate.
-    if node_budget is None:
-        node_budget = max(64, 8 * g.n)
-
-    fixes = []
-    coloring = run.stage(()).coloring
-    while True:
-        if coloring.vertex_partition.class_of[o1] != coloring.vertex_partition.class_of[o2]:
-            return None
-        keeper = None
-        for y in _candidate_order(coloring, run.history, run.strategy, exclude={o1, o2}):
-            trial = run.stage(tuple(fixes) + (y,))
-            tp = trial.coloring.vertex_partition
-            if tp.class_of[o1] == tp.class_of[o2]:
-                keeper = (y, trial.coloring)
-                break
-        if keeper is None:
-            break
-        fixes.append(keeper[0])
-        run.history[keeper[0]] += 1
-        coloring = keeper[1]
-
-    t1 = run.stage(tuple(fixes) + (o1,))
-    t2 = run.stage(tuple(fixes) + (o2,))
-    witness, _ = _descend(run, run, t1, t2, depth_budget, node_budget)
+    witness, _ = _descend(run, run, t1, t2, _default_depth_budget(n), max(64, 8 * n))
     if witness is None:
         return None
-    if witness(o1) != o2 or not is_automorphism(g, witness):
+    if witness(o1) != o2 or not is_automorphism(run.g, witness):
         raise InternalInvariantError("merge witness failed verification")
     return witness
 
@@ -417,30 +368,21 @@ def _merge_candidates(q, stable, attempted):
     return pairs
 
 
-def compute_orbits(
-    g,
-    cfg=None,
-    strategy="least_fixed",
-    budget=None,
-    *,
-    stats=None,
-    _run=None,
-):
+def compute_orbits(g, cfg=None, budget=None):
     """Accumulate an automorphic partition until it meets the stable coloring.
 
     Each iteration seeds a fresh fix sequence from the next class of the
     current partition, finds a regular stage, joins in the stage's orbit
     partition, then sweeps still-separated class pairs with verify_merge.
     Status is certified when the partition reaches the stable coloring
-    (sandwich certificate), lower_bound when the iteration budget is spent
-    with no progress and every candidate pair refused to merge.
+    (sandwich certificate). Otherwise the run ends lower_bound, either when
+    budget iterations are spent (default n - 1; budget 0 runs none) or when
+    class-count - 1 iterations in a row leave the partition unchanged.
     """
-    run = _run or _Run(g, cfg, strategy, stats=stats)
-    base = run.stage(())
-    stable = base.coloring.vertex_partition
+    run = Run(g, cfg)
+    stable = run.stage(()).coloring.vertex_partition
     q = OrderedPartition.singletons(g.n)
     generators = []
-    depth_budget = _default_depth_budget(g.n)
     attempted = set()
     max_iters = budget if budget is not None else max(1, g.n - 1)
     seed_ptr = 0
@@ -452,11 +394,11 @@ def compute_orbits(
         before = q
         seed = q.classes[seed_ptr % q.class_count][0]
         seed_ptr += 1
-        stage = find_regular_stage(g, strategy=strategy, first_seed=seed, _run=run)
-        part, new_gens = stage_orbits(g, stage, strategy=strategy, _run=run)
+        stage = find_regular_stage(run, first_seed=seed)
+        part, new_gens = stage_orbits(run, stage)
         generators.extend(new_gens)
         q = partition_join(q, part)
-        q, generators = _verify_sweep(run, q, stable, generators, attempted, depth_budget)
+        q = _verify_sweep(run, q, stable, generators, attempted)
         if q.same_blocks(before):
             no_change += 1
             if no_change >= max(1, q.class_count - 1):
@@ -471,23 +413,20 @@ def compute_orbits(
     return OrbitSystem(q.sorted_by_min(), tuple(generators), status, run.stats)
 
 
-def _verify_sweep(run, q, stable, generators, attempted, depth_budget):
-    """Try verify_merge on candidate class pairs until none succeeds."""
+def _verify_sweep(run, q, stable, generators, attempted):
+    """Try verify_merge on candidate class pairs until none succeeds;
+    witnesses are appended to generators."""
     while not q.same_blocks(stable):
-        progress = False
         for key in _merge_candidates(q, stable, attempted):
             attempted.add(key)
-            ca = int(q.class_of[key[0]])
-            cb = int(q.class_of[key[1]])
-            witness = verify_merge(run.g, q, ca, cb, depth_budget=depth_budget, _run=run)
+            witness = verify_merge(run, q, int(q.class_of[key[0]]), int(q.class_of[key[1]]))
             if witness is not None:
                 generators.append(witness)
                 q = partition_join(q, closure_orbits(run.g.n, [witness]))
-                progress = True
                 break
-        if not progress:
+        else:
             break
-    return q, generators
+    return q
 
 
 def iso_test(g1, g2, cfg=None, budget=None):
@@ -507,8 +446,8 @@ def iso_test(g1, g2, cfg=None, budget=None):
     stats = RunStats()
     if g1.n != g2.n or g1.color_count != g2.color_count:
         return IsoResult(NON_ISOMORPHIC, None, None, stats)
-    run1 = _Run(g1, cfg, stats=stats)
-    run2 = _Run(g2, cfg, stats=stats)
+    run1 = Run(g1, cfg, stats)
+    run2 = Run(g2, cfg, stats)
     node_budget = budget if budget is not None else 128 * g1.n
     # A stage with n - 1 fixes is discrete, so level n is never cut.
     witness, cut = _descend(run1, run2, run1.stage(()), run2.stage(()), g1.n, node_budget)

@@ -17,16 +17,12 @@ class NotDiscreteError(AutorbitsError):
     """An operation requiring an all-singleton coloring got a coarser one."""
 
 
-class NoCandidateError(AutorbitsError):
-    """No fixable vertex remains (the coloring is discrete)."""
-
-
 class SizeLimitError(AutorbitsError):
     """Brute-force enumeration refused an input above the configured cap."""
 
 
 class ResourceLimitError(AutorbitsError):
-    """A run exhausted memory or the interpreter's recursion limit."""
+    """A run exhausted memory or recursion depth, or an input is too large."""
 
 
 class InternalInvariantError(AutorbitsError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import WindowSet
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 from .graphs import EdgeColoredGraph
 
 FORMATS = ("graph6", "dimacs", "cdg", "ws")
@@ -150,6 +150,8 @@ def _parse_dimacs(payload):
                 raise ParseError("non-numeric problem line", line=lineno) from None
             if n < 1 or declared_m < 0:
                 raise ParseError("problem line out of range", line=lineno)
+            if n * n * np.dtype(np.int64).itemsize > np.iinfo(np.intp).max:
+                raise ResourceLimitError(f"order {n} is too large for an n x n matrix")
             adj = np.zeros((n, n), dtype=bool)
         elif fields[0] == "e":
             if adj is None:

@@ -160,6 +160,34 @@ def test_seed_flag_rejected(tmp_path):
     assert run_cli("orbits", path, "--seed", "7", "--json").returncode == 4
 
 
+def test_strategy_flag_rejected(tmp_path):
+    path = write_graph(tmp_path, "k3.cdg", complete_graph(3))
+    assert run_cli("orbits", path, "--strategy", "first", "--json").returncode == 4
+
+
+@pytest.mark.parametrize("command", ["orbits", "auts", "verify", "iso"])
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, command):
+    from autorbits import cli as cli_module
+
+    path = write_graph(tmp_path, "k3.cdg", complete_graph(3))
+    files = [path, path] if command == "iso" else [path]
+    assert cli_module.main([command, *files, "--budget", "-1", "--json"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and "--budget" in out.err
+
+
+def test_dimacs_order_beyond_addressable_is_a_resource_limit(tmp_path, capsys):
+    from autorbits import cli as cli_module
+
+    # The header alone: the order is refused before anything is allocated.
+    path = tmp_path / "huge.dimacs"
+    path.write_text("p edge 10000000000 0\n")
+    assert cli_module.main(["orbits", str(path), "--json"]) == 6
+    err = capsys.readouterr().err
+    assert "resource limit" in err
+    assert "Traceback" not in err
+
+
 def test_verify_lower_bound_exit_code(tmp_path):
     from autorbits import from_undirected_edges
 

@@ -7,10 +7,10 @@ from autorbits import (
     ISOMORPHIC,
     LOWER_BOUND,
     NON_ISOMORPHIC,
-    NoCandidateError,
     NotDiscreteError,
     OrderedPartition,
     RefinementConfig,
+    Run,
     apply_permutation,
     brute_iso,
     brute_orbits,
@@ -28,13 +28,11 @@ from autorbits import (
     iso_test,
     path_graph,
     petersen_graph,
-    pick_fix_vertex,
     refine,
     stage_orbits,
     verify_merge,
 )
 from autorbits import engine
-from autorbits.engine import _Run
 from util import (
     random_permutation,
     random_simple_graph,
@@ -51,20 +49,20 @@ K2 = RefinementConfig(k=2)
 
 
 def test_regular_stage_discrete_graph_stops_immediately():
-    stage = find_regular_stage(rigid6(), K2)
+    stage = find_regular_stage(Run(rigid6(), K2))
     assert stage.fixes == ()
     assert stage.coloring.is_discrete()
 
 
 def test_regular_stage_k4():
-    stage = find_regular_stage(complete_graph(4), K1)
+    stage = find_regular_stage(Run(complete_graph(4), K1))
     assert len(stage.fixes) == 2
     sizes = sorted(len(c) for c in stage.coloring.vertex_partition.classes)
     assert sizes == [1, 1, 2]
 
 
 def test_regular_stage_c5():
-    stage = find_regular_stage(cycle_graph(5), K1)
+    stage = find_regular_stage(Run(cycle_graph(5), K1))
     assert len(stage.fixes) == 1
     part = stage.coloring.vertex_partition
     v0 = stage.fixes[0]
@@ -79,7 +77,7 @@ def test_regular_stage_postcondition():
     rng = np.random.default_rng(30)
     for _ in range(10):
         g = random_simple_graph(rng, int(rng.integers(4, 8)), 0.5)
-        stage = find_regular_stage(g, K2)
+        stage = find_regular_stage(Run(g, K2))
         part = stage.coloring.vertex_partition
         if part.is_discrete():
             assert stage.fixes == ()
@@ -96,7 +94,7 @@ def test_regular_stage_postcondition():
 
 
 def test_stage_store_returns_the_stored_object():
-    run = _Run(cycle_graph(6), K1)
+    run = Run(cycle_graph(6), K1)
     first = run.stage((0, 2))
     assert run.stage([0, 2]) is first
     assert run.stage(()) is run.stage(())
@@ -112,7 +110,7 @@ def test_stage_store_refines_each_distinct_tuple_once(monkeypatch):
         return real_refine(g, cfg)
 
     monkeypatch.setattr(engine, "refine", counting_refine)
-    run = _Run(petersen_graph(), K2)
+    run = Run(petersen_graph(), K2)
     asked = [(), (0,), (0, 1), (), (0,), (1, 0), (0, 1), ()]
     for fixes in asked:
         run.stage(fixes)
@@ -122,7 +120,7 @@ def test_stage_store_refines_each_distinct_tuple_once(monkeypatch):
 def test_stored_stage_holds_no_pair_matrix():
     g = petersen_graph()
     fixes = (3, 7)
-    stage = _Run(g, K2).stage(fixes)
+    stage = Run(g, K2).stage(fixes)
     assert stage.coloring.pair_coloring is None
     full = refine(individualize_sequence(g, fixes), K2)
     assert full.pair_coloring is not None
@@ -135,17 +133,16 @@ def test_bounded_stage_store_gives_the_same_orbits(g, monkeypatch):
     default = compute_orbits(g, K2)
     bound = 3 * g.n
     monkeypatch.setattr(engine, "STAGE_STORE_VERTICES", bound)
-    run = _Run(g, K2)
-    stored = run.stage
+    stored = engine.Run.stage
     sizes = []
 
-    def checked_stage(fixes):
-        out = stored(fixes)
+    def checked_stage(run, fixes):
+        out = stored(run, fixes)
         sizes.append(len(run._stages) * g.n)
         return out
 
-    run.stage = checked_stage
-    small = compute_orbits(g, K2, _run=run)
+    monkeypatch.setattr(engine.Run, "stage", checked_stage)
+    small = compute_orbits(g, K2)
     assert sizes and max(sizes) <= bound
     assert small.partition == default.partition
     assert small.status == default.status == CERTIFIED
@@ -159,7 +156,7 @@ def test_bounded_stage_store_gives_the_same_orbits(g, monkeypatch):
 
 
 def test_canonical_form_requires_discrete():
-    run = _Run(complete_graph(4), K1)
+    run = Run(complete_graph(4), K1)
     with pytest.raises(NotDiscreteError):
         canonical_form_discrete(run.stage(()))
 
@@ -167,25 +164,25 @@ def test_canonical_form_requires_discrete():
 def test_canonical_form_deterministic_and_relabeling_invariant():
     rng = np.random.default_rng(31)
     g = random_simple_graph(rng, 6, 0.5)
-    run = _Run(g, K2)
-    stage = find_regular_stage(g, K2, _run=run)
+    run = Run(g, K2)
+    stage = find_regular_stage(run)
     fixes = stage.fixes
     if not stage.coloring.is_discrete():
-        y = pick_fix_vertex(stage)
+        y = engine._candidate_order(stage.coloring, run.history)[0]
         fixes = fixes + (y,)
     s1 = run.stage(fixes)
     assert canonical_form_discrete(s1) == canonical_form_discrete(run.stage(fixes))
 
     perm = random_permutation(rng, 6)
     gp = apply_permutation(g, perm)
-    runp = _Run(gp, K2)
+    runp = Run(gp, K2)
     mapped = tuple(perm(v) for v in fixes)
     s2 = runp.stage(mapped)
     assert canonical_form_discrete(s1) == canonical_form_discrete(s2)
 
 
 def test_forms_separate_classes_in_c5():
-    run = _Run(cycle_graph(5), K1)
+    run = Run(cycle_graph(5), K1)
     f01 = canonical_form_discrete(run.stage((0, 1)))
     f04 = canonical_form_discrete(run.stage((0, 4)))
     f02 = canonical_form_discrete(run.stage((0, 2)))
@@ -194,7 +191,7 @@ def test_forms_separate_classes_in_c5():
 
 
 def test_extract_isomorphism_identity_and_reflection():
-    run = _Run(cycle_graph(5), K1)
+    run = Run(cycle_graph(5), K1)
     s = run.stage((0, 1))
     ident = extract_isomorphism(s, s)
     assert ident.is_identity()
@@ -204,8 +201,8 @@ def test_extract_isomorphism_identity_and_reflection():
 
 
 def test_extract_isomorphism_cross_graph_none():
-    r1 = _Run(complete_graph(3), K1)
-    r2 = _Run(path_graph(3), K1)
+    r1 = Run(complete_graph(3), K1)
+    r2 = Run(path_graph(3), K1)
     s1 = r1.stage((0, 1))
     s2 = r2.stage((0, 1))
     assert s1.coloring.is_discrete() and s2.coloring.is_discrete()
@@ -217,9 +214,9 @@ def test_extract_isomorphism_cross_graph_none():
 
 def test_stage_orbits_k4():
     g = complete_graph(4)
-    run = _Run(g, K1)
-    stage = find_regular_stage(g, K1, _run=run)
-    part, gens = stage_orbits(g, stage, _run=run)
+    run = Run(g, K1)
+    stage = find_regular_stage(run)
+    part, gens = stage_orbits(run, stage)
     rest = tuple(v for v in range(4) if v not in stage.fixes)
     assert part.same_blocks(
         OrderedPartition.from_classes([[stage.fixes[0]], [stage.fixes[1]], list(rest)])
@@ -229,18 +226,18 @@ def test_stage_orbits_k4():
 
 def test_stage_orbits_c5():
     g = cycle_graph(5)
-    run = _Run(g, K1)
-    stage = find_regular_stage(g, K1, _run=run)
-    part, gens = stage_orbits(g, stage, _run=run)
+    run = Run(g, K1)
+    stage = find_regular_stage(run)
+    part, gens = stage_orbits(run, stage)
     assert part.same_blocks(OrderedPartition.from_classes([[0], [1, 4], [2, 3]]))
     assert gens and all(is_automorphism(g, w) for w in gens)
 
 
 def test_stage_orbits_rigid_graph_no_generators():
     g = rigid6()
-    run = _Run(g, K2)
-    stage = find_regular_stage(g, K2, _run=run)
-    part, gens = stage_orbits(g, stage, _run=run)
+    run = Run(g, K2)
+    stage = find_regular_stage(run)
+    part, gens = stage_orbits(run, stage)
     assert part.is_discrete() and gens == []
 
 
@@ -325,55 +322,55 @@ def test_budget_zero_means_no_iterations():
 def test_verify_merge_c5_singletons():
     g = cycle_graph(5)
     q = OrderedPartition.from_classes([[0], [1], [4], [2, 3]])
-    w = verify_merge(g, q, 1, 2, K1)
+    w = verify_merge(Run(g, K1), q, 1, 2)
     assert w is not None and w(1) == 4 and is_automorphism(g, w)
 
 
 def test_verify_merge_two_triangles():
     g = disjoint_union(cycle_graph(3), cycle_graph(3))
     q = OrderedPartition.from_classes([[0, 1, 2], [3, 4, 5]])
-    w = verify_merge(g, q, 0, 1, K1)
+    w = verify_merge(Run(g, K1), q, 0, 1)
     assert w is not None and w(0) in (3, 4, 5) and is_automorphism(g, w)
 
 
 def test_verify_merge_triangle_vs_square_fails():
     g = disjoint_union(cycle_graph(3), cycle_graph(4))
     q = OrderedPartition.from_classes([[0, 1, 2], [3, 4, 5, 6]])
-    assert verify_merge(g, q, 0, 1, K1) is None
+    assert verify_merge(Run(g, K1), q, 0, 1) is None
 
 
 def test_verify_merge_rejects_same_class():
     g = cycle_graph(4)
     q = OrderedPartition.from_classes([[0, 1, 2, 3]])
     with pytest.raises(ValueError):
-        verify_merge(g, q, 0, 0, K1)
+        verify_merge(Run(g, K1), q, 0, 0)
 
 
-# ------------------------------------------------------- pick_fix_vertex
+def test_verify_merge_separated_by_base_coloring_refines_once():
+    g = disjoint_union(cycle_graph(3), path_graph(3))
+    q = OrderedPartition.from_classes([[0, 1, 2], [3, 5], [4]])
+    run = Run(g, K1)
+    assert verify_merge(run, q, 0, 1) is None
+    assert run.stats.refine_calls == 1
 
 
-def test_pick_fix_vertex_fresh_history():
-    stage = _Run(complete_graph(4), K1).stage(())
-    assert pick_fix_vertex(stage) == 0
+# ------------------------------------------------------- candidate order
 
 
-def test_pick_fix_vertex_prefers_less_fixed():
-    stage = _Run(complete_graph(4), K1).stage(())
+def test_candidate_order_fresh_history():
+    run = Run(complete_graph(4), K1)
+    assert engine._candidate_order(run.stage(()).coloring, run.history)[0] == 0
+
+
+def test_candidate_order_prefers_less_fixed():
+    coloring = Run(complete_graph(4), K1).stage(()).coloring
     history = np.array([2, 1, 1, 1])
-    assert pick_fix_vertex(stage, history) == 1
+    assert engine._candidate_order(coloring, history)[0] == 1
 
 
-def test_pick_fix_vertex_discrete_errors():
-    stage = _Run(rigid6(), K2).stage(())
-    with pytest.raises(NoCandidateError):
-        pick_fix_vertex(stage)
-
-
-def test_pick_fix_vertex_strategies():
-    g = disjoint_union(complete_graph(2), complete_graph(3))
-    stage = _Run(g, K1).stage(())
-    assert pick_fix_vertex(stage, strategy="first") == 0
-    assert pick_fix_vertex(stage, strategy="min_class") in (0, 1)
+def test_candidate_order_discrete_is_empty():
+    run = Run(rigid6(), K2)
+    assert engine._candidate_order(run.stage(()).coloring, run.history) == []
 
 
 # --------------------------------------------------------------- iso_test
@@ -519,22 +516,21 @@ def test_depth_instrumentation_bounded():
         assert system.stats.verify_tree_depth_max <= bound
 
 
-def test_verify_merge_depth_budget_flagged():
-    from autorbits import from_undirected_edges
-
+def test_verify_merge_depth_budget_flagged(monkeypatch):
     g = from_undirected_edges(4, [(0, 1), (2, 3)])
     q = OrderedPartition.from_classes([[0, 1], [2, 3]])
-    run = _Run(g, K1)
-    # bridging the two edges needs a second level; budget 1 cuts it off
-    assert verify_merge(g, q, 0, 1, depth_budget=1, _run=run) is None
-    assert run.stats.depth_budget_hits >= 1
     # with the default budget the swap is found
-    w = verify_merge(g, q, 0, 1, K1)
+    w = verify_merge(Run(g, K1), q, 0, 1)
     assert w is not None and is_automorphism(g, w)
+    # bridging the two edges needs a second level; budget 1 cuts it off
+    monkeypatch.setattr(engine, "_default_depth_budget", lambda n: 1)
+    run = Run(g, K1)
+    assert verify_merge(run, q, 0, 1) is None
+    assert run.stats.depth_budget_hits >= 1
 
 
 def test_extract_isomorphism_requires_discrete():
-    run = _Run(complete_graph(4), K1)
+    run = Run(complete_graph(4), K1)
     s = run.stage(())
     with pytest.raises(NotDiscreteError):
         extract_isomorphism(s, s)
@@ -577,19 +573,13 @@ def test_engine_tiny_graphs():
     assert two.status == CERTIFIED and two.partition.classes == ((0, 1),)
 
 
-@pytest.mark.parametrize("strategy", ["least_fixed", "min_class", "first"])
-def test_all_strategies_certify(strategy):
+def test_two_triangles_certify():
     g = disjoint_union(cycle_graph(3), cycle_graph(3))
-    system = compute_orbits(g, K2, strategy=strategy)
+    system = compute_orbits(g, K2)
     assert system.status == CERTIFIED
     assert system.partition.classes == (tuple(range(6)),)
     truth = brute_orbits(g)
     assert system.partition.same_blocks(truth)
-
-
-def test_engine_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        compute_orbits(complete_graph(3), K1, strategy="sideways")
 
 
 def test_moderate_size_run_is_quick():
