@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (or isomorphic), 1 non-isomorphic, 2 inconclusive or
 lower_bound where certification was requested (iso / verify), 3 parse error,
-4 usage error, 5 internal invariant violation or any other unexpected error,
-6 resource limit (out of memory or recursion depth).
+4 usage error (a flag the command does not take included), 5 internal
+invariant violation or any other unexpected error, 6 resource limit (out of
+memory, recursion depth, or an input order too large for memory).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import sys
 import time
 import traceback
+from typing import Callable, NamedTuple
 
 from .assembly import is_assembled, project_to_vertices
 from .engine import (
@@ -57,14 +59,131 @@ def _sorted_classes(partition):
     return sorted((list(c) for c in partition.classes), key=lambda c: c[0])
 
 
-def _stats_payload(stats):
-    return (stats or RunStats()).as_dict()
-
-
 def _non_negative_int(text):
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
+
+
+def _orbit_fields(system):
+    return {
+        "orbits": _sorted_classes(system.partition),
+        "generators": [w.as_list() for w in system.generators],
+        "status": system.status,
+    }
+
+
+def _oracle_limit(args):
+    return None if args.max_n is None else OracleLimit(max_n=args.max_n)
+
+
+# Handlers take the parsed arguments and the loaded inputs and return
+# (report fields, RunStats or None, exit code). They reach the library
+# through this module's globals, looked up at call time.
+
+
+def _orbits(args, g):
+    system = compute_orbits(g, RefinementConfig(k=args.k), args.budget)
+    return _orbit_fields(system), system.stats, EXIT_OK
+
+
+def _iso(args, g1, g2):
+    result = iso_test(g1, g2, RefinementConfig(k=args.k), args.budget)
+    fields = {
+        "verdict": result.verdict,
+        "witness": result.witness.as_list() if result.witness else None,
+    }
+    code = {
+        ISOMORPHIC: EXIT_OK,
+        NON_ISOMORPHIC: EXIT_NON_ISOMORPHIC,
+        INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    }[result.verdict]
+    return fields, result.stats, code
+
+
+def _refine(args, g):
+    coloring = refine(g, RefinementConfig(k=args.k))
+    fields = {
+        "classes": _sorted_classes(coloring.vertex_partition),
+        "rounds": coloring.rounds_used,
+        "discrete": coloring.is_discrete(),
+    }
+    return fields, RunStats(refine_calls=1), EXIT_OK
+
+
+def _oracle_orbits(args, g):
+    return {"orbits": _sorted_classes(brute_orbits(g, _oracle_limit(args)))}, None, EXIT_OK
+
+
+def _oracle_aut(args, g):
+    auts = brute_aut(g, _oracle_limit(args))
+    return {"automorphisms": [p.as_list() for p in auts], "order": len(auts)}, None, EXIT_OK
+
+
+def _verify(args, g):
+    system = compute_orbits(g, RefinementConfig(k=args.k), args.budget)
+    oracle_partition = brute_orbits(g, _oracle_limit(args))
+    match = system.partition.same_blocks(oracle_partition)
+    if system.status == CERTIFIED and not match:
+        raise InternalInvariantError("certified partition disagrees with the oracle")
+    fields = _orbit_fields(system)
+    fields.update(oracle_orbits=_sorted_classes(oracle_partition), match=match)
+    return fields, system.stats, EXIT_OK if system.status == CERTIFIED else EXIT_INCONCLUSIVE
+
+
+def _assembly(args, ws):
+    assembled, witness = is_assembled(ws)
+    projection = sorted(project_to_vertices(ws))
+    notes = []
+    seen = set(projection)
+    if any((b, a) in seen for a, b in projection if (a, b) != (b, a)):
+        notes.append("projection contains reversed duplicates of other columns")
+    fields = {
+        "k": ws.k,
+        "element_count": len(ws.elements),
+        "assembled": assembled,
+        "witness": [list(witness[0]), list(witness[1])] if witness else None,
+        "projection": [[a, b] for a, b in projection],
+        "notes": notes,
+    }
+    return fields, None, EXIT_OK
+
+
+GRAPH, PAIR, WINDOWS = "graph", "pair", "windows"
+
+
+class Command(NamedTuple):
+    """A subcommand: help text, inputs, the flags it reads, and its handler."""
+
+    help: str
+    inputs: str  # GRAPH, PAIR or WINDOWS
+    flags: tuple
+    handler: Callable
+
+
+COMMANDS = {
+    "orbits": Command("orbit partition and generators of a graph", GRAPH,
+                      ("--k", "--budget"), _orbits),
+    "auts": Command("automorphism generators found by the engine", GRAPH,
+                    ("--k", "--budget"), _orbits),
+    "iso": Command("test two graphs for isomorphism", PAIR, ("--k", "--budget"), _iso),
+    "refine": Command("stable coloring of a graph", GRAPH, ("--k",), _refine),
+    "oracle-orbits": Command("brute-force orbit partition (small n)", GRAPH,
+                             ("--max-n",), _oracle_orbits),
+    "oracle-aut": Command("brute-force automorphism list (small n)", GRAPH,
+                          ("--max-n",), _oracle_aut),
+    "verify": Command("compare engine orbits against the brute-force oracle", GRAPH,
+                      ("--k", "--budget", "--max-n"), _verify),
+    "assembly": Command("check a window set for assembly", WINDOWS, (), _assembly),
+}
+
+_FLAGS = {
+    "--k": dict(type=int, choices=(1, 2, 3), default=2, help="refinement dimension (default 2)"),
+    "--budget": dict(type=_non_negative_int, default=None,
+                     help="at least 0; orbits/verify: iteration cap (default: n - 1); "
+                          "iso: descent node cap, two per stage pair (default: 128 n)"),
+    "--max-n": dict(type=int, default=None, help="brute-force size cap override"),
+}
 
 
 def build_parser():
@@ -73,187 +192,18 @@ def build_parser():
         description="Orbits and generators of edge-colored digraph automorphism groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, files=1):
-        p = sub.add_parser(name, help=help_text)
-        if files >= 1:
-            p.add_argument("file", help="input file")
-        if files == 2:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("file", help="input file")
+        if command.inputs == PAIR:
             p.add_argument("file2", help="second input file")
-        p.add_argument("--k", type=int, choices=(1, 2, 3), default=2,
-                       help="refinement dimension (default 2)")
-        p.add_argument("--budget", type=_non_negative_int, default=None,
-                       help="at least 0; orbits/verify: iteration cap "
-                            "(default: n - 1); iso: descent node cap, two per "
-                            "stage pair (default: 128 n)")
-        p.add_argument("--max-n", type=int, default=None,
-                       help="brute-force size cap override")
+        for flag in command.flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--format", choices=("graph6", "dimacs", "cdg", "ws"),
-                       default=None, help="override input format sniffing")
-        return p
-
-    add("orbits", "orbit partition and generators of a graph")
-    add("auts", "automorphism generators found by the engine")
-    add("iso", "test two graphs for isomorphism", files=2)
-    add("refine", "stable coloring of a graph")
-    add("oracle-orbits", "brute-force orbit partition (small n)")
-    add("oracle-aut", "brute-force automorphism list (small n)")
-    add("verify", "compare engine orbits against the brute-force oracle")
-    add("assembly", "check a window set for assembly")
+        if command.inputs != WINDOWS:
+            p.add_argument("--format", choices=("graph6", "dimacs", "cdg"),
+                           default=None, help="override input format sniffing")
     return parser
-
-
-def _graph_from(args, which="file"):
-    doc = load_document(getattr(args, which), args.format)
-    return parse_graph(doc)
-
-
-def _cfg(args):
-    return RefinementConfig(k=args.k)
-
-
-def _oracle_kwargs(args):
-    if args.max_n is None:
-        return {}
-    return {"limit": OracleLimit(max_n=args.max_n), "force": False}
-
-
-def _cmd_orbits(args, command):
-    g = _graph_from(args)
-    t0 = time.perf_counter()
-    system = compute_orbits(g, _cfg(args), args.budget)
-    elapsed = time.perf_counter() - t0
-    payload = {
-        "command": command,
-        "n": g.n,
-        "orbits": _sorted_classes(system.partition),
-        "generators": [w.as_list() for w in system.generators],
-        "status": system.status,
-        "stats": _stats_payload(system.stats),
-        "runtime_ms": int(elapsed * 1000),
-    }
-    return payload, EXIT_OK
-
-
-def _cmd_iso(args):
-    g1 = _graph_from(args, "file")
-    g2 = _graph_from(args, "file2")
-    t0 = time.perf_counter()
-    result = iso_test(g1, g2, _cfg(args), args.budget)
-    elapsed = time.perf_counter() - t0
-    payload = {
-        "command": "iso",
-        "n": g1.n,
-        "verdict": result.verdict,
-        "witness": result.witness.as_list() if result.witness else None,
-        "stats": _stats_payload(result.stats),
-        "runtime_ms": int(elapsed * 1000),
-    }
-    code = {
-        ISOMORPHIC: EXIT_OK,
-        NON_ISOMORPHIC: EXIT_NON_ISOMORPHIC,
-        INCONCLUSIVE: EXIT_INCONCLUSIVE,
-    }[result.verdict]
-    return payload, code
-
-
-def _cmd_refine(args):
-    g = _graph_from(args)
-    t0 = time.perf_counter()
-    coloring = refine(g, _cfg(args))
-    elapsed = time.perf_counter() - t0
-    stats = RunStats(refine_calls=1)
-    payload = {
-        "command": "refine",
-        "n": g.n,
-        "classes": _sorted_classes(coloring.vertex_partition),
-        "rounds": coloring.rounds_used,
-        "discrete": coloring.is_discrete(),
-        "stats": _stats_payload(stats),
-        "runtime_ms": int(elapsed * 1000),
-    }
-    return payload, EXIT_OK
-
-
-def _cmd_oracle_orbits(args):
-    g = _graph_from(args)
-    t0 = time.perf_counter()
-    partition = brute_orbits(g, **_oracle_kwargs(args))
-    elapsed = time.perf_counter() - t0
-    payload = {
-        "command": "oracle-orbits",
-        "n": g.n,
-        "orbits": _sorted_classes(partition),
-        "stats": _stats_payload(None),
-        "runtime_ms": int(elapsed * 1000),
-    }
-    return payload, EXIT_OK
-
-
-def _cmd_oracle_aut(args):
-    g = _graph_from(args)
-    t0 = time.perf_counter()
-    auts = brute_aut(g, **_oracle_kwargs(args))
-    elapsed = time.perf_counter() - t0
-    payload = {
-        "command": "oracle-aut",
-        "n": g.n,
-        "automorphisms": [p.as_list() for p in auts],
-        "order": len(auts),
-        "stats": _stats_payload(None),
-        "runtime_ms": int(elapsed * 1000),
-    }
-    return payload, EXIT_OK
-
-
-def _cmd_verify(args):
-    g = _graph_from(args)
-    t0 = time.perf_counter()
-    system = compute_orbits(g, _cfg(args), args.budget)
-    oracle_partition = brute_orbits(g, **_oracle_kwargs(args))
-    elapsed = time.perf_counter() - t0
-    match = system.partition.same_blocks(oracle_partition)
-    payload = {
-        "command": "verify",
-        "n": g.n,
-        "orbits": _sorted_classes(system.partition),
-        "oracle_orbits": _sorted_classes(oracle_partition),
-        "generators": [w.as_list() for w in system.generators],
-        "status": system.status,
-        "match": match,
-        "stats": _stats_payload(system.stats),
-        "runtime_ms": int(elapsed * 1000),
-    }
-    if system.status == CERTIFIED and not match:
-        raise InternalInvariantError("certified partition disagrees with the oracle")
-    code = EXIT_OK if system.status == CERTIFIED else EXIT_INCONCLUSIVE
-    return payload, code
-
-
-def _cmd_assembly(args):
-    doc = load_document(args.file, args.format)
-    ws = parse_window_set(doc)
-    t0 = time.perf_counter()
-    assembled, witness = is_assembled(ws)
-    projection = sorted(project_to_vertices(ws))
-    elapsed = time.perf_counter() - t0
-    notes = []
-    seen = set(projection)
-    if any((b, a) in seen for a, b in projection if (a, b) != (b, a)):
-        notes.append("projection contains reversed duplicates of other columns")
-    payload = {
-        "command": "assembly",
-        "k": ws.k,
-        "element_count": len(ws.elements),
-        "assembled": assembled,
-        "witness": [list(witness[0]), list(witness[1])] if witness else None,
-        "projection": [[a, b] for a, b in projection],
-        "notes": notes,
-        "stats": _stats_payload(None),
-        "runtime_ms": int(elapsed * 1000),
-    }
-    return payload, EXIT_OK
 
 
 def emit_report(payload, json_mode):
@@ -276,25 +226,31 @@ def emit_report(payload, json_mode):
 
 
 def _dispatch(args):
-    """Run one parsed command; resource exhaustion becomes a typed error."""
+    """Load the inputs, time the handler, and assemble the report.
+
+    Resource exhaustion anywhere becomes a typed error.
+    """
+    command = COMMANDS[args.command]
     try:
-        if args.command in ("orbits", "auts"):
-            return _cmd_orbits(args, args.command)
-        if args.command == "iso":
-            return _cmd_iso(args)
-        if args.command == "refine":
-            return _cmd_refine(args)
-        if args.command == "oracle-orbits":
-            return _cmd_oracle_orbits(args)
-        if args.command == "oracle-aut":
-            return _cmd_oracle_aut(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_assembly(args)
+        if command.inputs == WINDOWS:
+            inputs = [parse_window_set(load_document(args.file))]
+        else:
+            files = [args.file, args.file2] if command.inputs == PAIR else [args.file]
+            inputs = [parse_graph(load_document(f, args.format)) for f in files]
+        t0 = time.perf_counter()
+        fields, stats, code = command.handler(args, *inputs)
+        elapsed = time.perf_counter() - t0
     except MemoryError as exc:
         raise ResourceLimitError("out of memory") from exc
     except RecursionError as exc:
         raise ResourceLimitError(str(exc)) from exc
+    payload = {"command": args.command}
+    if command.inputs != WINDOWS:
+        payload["n"] = inputs[0].n
+    payload.update(fields)
+    payload["stats"] = (stats or RunStats()).as_dict()
+    payload["runtime_ms"] = int(elapsed * 1000)
+    return payload, code
 
 
 def main(argv=None):
@@ -307,10 +263,7 @@ def main(argv=None):
 
     try:
         payload, code = _dispatch(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SizeLimitError as exc:

@@ -410,7 +410,7 @@ def compute_orbits(g, cfg=None, budget=None):
         if not is_automorphism(g, w):
             raise InternalInvariantError("emitted generator is not an automorphism")
     status = CERTIFIED if q.same_blocks(stable) else LOWER_BOUND
-    return OrbitSystem(q.sorted_by_min(), tuple(generators), status, run.stats)
+    return OrbitSystem(q, tuple(generators), status, run.stats)
 
 
 def _verify_sweep(run, q, stable, generators, attempted):

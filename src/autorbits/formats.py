@@ -8,15 +8,14 @@ the loop/edge/non-edge coloring.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import WindowSet
 from .errors import ParseError, ResourceLimitError
-from .graphs import EdgeColoredGraph
-
-FORMATS = ("graph6", "dimacs", "cdg", "ws")
+from .graphs import EdgeColoredGraph, from_adjacency
 
 _G6_HEADER = ">>graph6<<"
 
@@ -59,13 +58,10 @@ def load_document(path, forced_format=None):
 
 def parse_graph(doc):
     """Parse a graph document into an EdgeColoredGraph."""
-    if doc.format == "graph6":
-        return _parse_graph6(doc.payload)
-    if doc.format == "dimacs":
-        return _parse_dimacs(doc.payload)
-    if doc.format == "cdg":
-        return _parse_cdg(doc.payload)
-    raise ParseError(f"format {doc.format!r} does not describe a graph")
+    parser = _GRAPH_PARSERS.get(doc.format)
+    if parser is None:
+        raise ParseError(f"format {doc.format!r} does not describe a graph")
+    return parser(doc.payload)
 
 
 def parse_window_set(doc):
@@ -81,11 +77,62 @@ def _decode_text(payload):
         raise ParseError(f"input is not ASCII text: {exc}") from None
 
 
-def _adjacency_to_graph(n, adj):
-    mat = np.full((n, n), 2, dtype=np.int64)
-    np.fill_diagonal(mat, 0)
-    mat[adj] = 1
-    return EdgeColoredGraph(mat)
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_order(n):
+    """Refuse an order whose n x n int64 matrix exceeds physical memory."""
+    if n * n * np.dtype(np.int64).itemsize > _physical_memory():
+        raise ResourceLimitError(f"order {n} is too large for an n x n matrix in memory")
+
+
+def _records(payload):
+    """(line number, fields) for each non-blank line."""
+    for lineno, raw in enumerate(_decode_text(payload).splitlines(), start=1):
+        fields = raw.split()
+        if fields:
+            yield lineno, fields
+
+
+def _header(records, form):
+    """The two integers of the first record, which must read like ``form``."""
+    magic = form.split()[0]
+    lineno, fields = next(records, (None, None))
+    if lineno is None:
+        raise ParseError(f"empty {magic} input")
+    if len(fields) != 3 or fields[0] != magic:
+        raise ParseError(f"expected header {form!r}", line=lineno)
+    try:
+        return lineno, int(fields[1]), int(fields[2])
+    except ValueError:
+        raise ParseError(f"non-numeric {magic} header", line=lineno) from None
+
+
+def _rows(records, count, width, bound=None):
+    """The next ``count`` records as rows of ``width`` integers.
+
+    With ``bound``, every entry must lie in [0, bound).
+    """
+    rows = []
+    for lineno, fields in records:
+        if len(fields) != width:
+            raise ParseError(f"expected {width} entries, found {len(fields)}", line=lineno)
+        row = []
+        for col, tok in enumerate(fields, start=1):
+            try:
+                value = int(tok)
+            except ValueError:
+                raise ParseError(f"non-numeric entry {tok!r}", line=lineno, col=col) from None
+            if bound is not None and not 0 <= value < bound:
+                raise ParseError(f"entry {value} outside [0, {bound})", line=lineno, col=col)
+            row.append(value)
+        rows.append(row)
+        if len(rows) == count:
+            break
+    if len(rows) != count:
+        raise ParseError(f"expected {count} rows, found {len(rows)}")
+    return rows
 
 
 def _parse_graph6(payload):
@@ -95,50 +142,40 @@ def _parse_graph6(payload):
     line = text.splitlines()[0].strip() if text else ""
     if not line:
         raise ParseError("empty graph6 input")
-    data = [ord(ch) - 63 for ch in line]
-    if any(d < 0 or d > 63 for d in data):
+    data = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - np.uint8(63)
+    if (data > 63).any():
         raise ParseError("graph6 character out of range", line=1)
     if data[0] != 63:
-        n, pos = data[0], 1
+        size, pos = data[:1], 1
     elif len(data) >= 4 and data[1] != 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        pos = 4
+        size, pos = data[1:4], 4
     elif len(data) >= 8:
-        n = 0
-        for d in data[2:8]:
-            n = (n << 6) | d
-        pos = 8
+        size, pos = data[2:8], 8
     else:
         raise ParseError("truncated graph6 size field", line=1)
+    n = 0
+    for d in size.tolist():
+        n = (n << 6) | d
     if n < 1:
         raise ParseError("graph6 order must be positive", line=1)
     need = n * (n - 1) // 2
-    bits_available = (len(data) - pos) * 6
-    if bits_available < need:
+    if (len(data) - pos) * 6 < need:
         raise ParseError("graph6 payload shorter than the declared order", line=1)
+    _check_order(n)
+    # Six bits per byte, most significant first, in the row-major order of
+    # the strict lower triangle: (1, 0), (2, 0), (2, 1), (3, 0), ...
+    bits = np.unpackbits(data[pos:, None], axis=1)[:, 2:].ravel()[:need]
     adj = np.zeros((n, n), dtype=bool)
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = data[pos + bit // 6]
-            if (byte >> (5 - bit % 6)) & 1:
-                adj[i, j] = True
-                adj[j, i] = True
-            bit += 1
-    return _adjacency_to_graph(n, adj)
+    adj[np.tri(n, k=-1, dtype=bool)] = bits.view(bool)
+    return from_adjacency(adj)
 
 
 def _parse_dimacs(payload):
-    text = _decode_text(payload)
-    n = None
-    declared_m = None
-    edge_lines = 0
-    adj = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    n = declared_m = None
+    edges = []
+    for lineno, fields in _records(payload):
+        if fields[0].startswith("c"):
             continue
-        fields = line.split()
         if fields[0] == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", line=lineno)
@@ -150,11 +187,9 @@ def _parse_dimacs(payload):
                 raise ParseError("non-numeric problem line", line=lineno) from None
             if n < 1 or declared_m < 0:
                 raise ParseError("problem line out of range", line=lineno)
-            if n * n * np.dtype(np.int64).itemsize > np.iinfo(np.intp).max:
-                raise ResourceLimitError(f"order {n} is too large for an n x n matrix")
-            adj = np.zeros((n, n), dtype=bool)
+            _check_order(n)
         elif fields[0] == "e":
-            if adj is None:
+            if n is None:
                 raise ParseError("edge before problem line", line=lineno)
             if len(fields) != 3:
                 raise ParseError("expected 'e U V'", line=lineno)
@@ -166,104 +201,44 @@ def _parse_dimacs(payload):
                 raise ParseError(f"endpoint out of range 1..{n}", line=lineno)
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", line=lineno)
-            edge_lines += 1
-            adj[u - 1, v - 1] = True
-            adj[v - 1, u - 1] = True
+            edges.append((u - 1, v - 1))
         else:
             raise ParseError(f"unknown record {fields[0]!r}", line=lineno)
-    if adj is None:
+    if n is None:
         raise ParseError("missing problem line")
-    if edge_lines != declared_m:
-        raise ParseError(f"declared {declared_m} edges but found {edge_lines}")
-    return _adjacency_to_graph(n, adj)
+    if len(edges) != declared_m:
+        raise ParseError(f"declared {declared_m} edges but found {len(edges)}")
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[ends[:, 0], ends[:, 1]] = True
+    return from_adjacency(adj)
 
 
 def _parse_cdg(payload):
-    text = _decode_text(payload)
-    lines = text.splitlines()
-    header_at = None
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip():
-            header_at = lineno
-            break
-    if header_at is None:
-        raise ParseError("empty cdg input")
-    fields = lines[header_at - 1].split()
-    if len(fields) != 3 or fields[0] != "cdg":
-        raise ParseError("expected header 'cdg N C'", line=header_at)
-    try:
-        n, c = int(fields[1]), int(fields[2])
-    except ValueError:
-        raise ParseError("non-numeric cdg header", line=header_at) from None
+    records = _records(payload)
+    lineno, n, c = _header(records, "cdg N C")
     if n < 1 or c < 1:
-        raise ParseError("cdg header out of range", line=header_at)
-    rows = []
-    lineno = header_at
-    for raw in lines[header_at:]:
-        lineno += 1
-        if not raw.strip():
-            continue
-        fields = raw.split()
-        if len(fields) != n:
-            raise ParseError(f"expected {n} entries, found {len(fields)}", line=lineno)
-        row = []
-        for col, tok in enumerate(fields, start=1):
-            try:
-                value = int(tok)
-            except ValueError:
-                raise ParseError(f"non-numeric entry {tok!r}", line=lineno, col=col) from None
-            if not (0 <= value < c):
-                raise ParseError(f"color {value} outside [0, {c})", line=lineno, col=col)
-            row.append(value)
-        rows.append(row)
-        if len(rows) == n:
-            break
-    if len(rows) != n:
-        raise ParseError(f"expected {n} matrix rows, found {len(rows)}")
+        raise ParseError("cdg header out of range", line=lineno)
+    _check_order(n)
+    # A color beyond int64 is refused like any color outside [0, C).
+    rows = _rows(records, n, n, bound=min(c, 2**63))
     return EdgeColoredGraph(np.array(rows, dtype=np.int64))
 
 
 def _parse_ws(payload):
-    text = _decode_text(payload)
-    lines = [raw for raw in text.splitlines()]
-    header_at = None
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip():
-            header_at = lineno
-            break
-    if header_at is None:
-        raise ParseError("empty ws input")
-    fields = lines[header_at - 1].split()
-    if len(fields) != 3 or fields[0] != "ws":
-        raise ParseError("expected header 'ws K M'", line=header_at)
-    try:
-        k, m = int(fields[1]), int(fields[2])
-    except ValueError:
-        raise ParseError("non-numeric ws header", line=header_at) from None
+    records = _records(payload)
+    lineno, k, m = _header(records, "ws K M")
     if k < 1 or m < 0:
-        raise ParseError("ws header out of range", line=header_at)
-    elements = []
-    lineno = header_at
-    for raw in lines[header_at:]:
-        lineno += 1
-        if not raw.strip():
-            continue
-        fields = raw.split()
-        if len(fields) != 2 * k:
-            raise ParseError(f"expected {2 * k} entries, found {len(fields)}", line=lineno)
-        try:
-            values = [int(tok) for tok in fields]
-        except ValueError:
-            raise ParseError("non-numeric window entry", line=lineno) from None
-        elements.append((tuple(values[:k]), tuple(values[k:])))
-        if len(elements) == m:
-            break
-    if len(elements) != m:
-        raise ParseError(f"declared {m} elements but found {len(elements)}")
+        raise ParseError("ws header out of range", line=lineno)
+    rows = _rows(records, m, 2 * k)
     try:
-        return WindowSet.from_elements(k, elements)
+        return WindowSet.from_elements(k, [(row[:k], row[k:]) for row in rows])
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+_GRAPH_PARSERS = {"graph6": _parse_graph6, "dimacs": _parse_dimacs, "cdg": _parse_cdg}
+FORMATS = (*_GRAPH_PARSERS, "ws")
 
 
 def emit_cdg(g):

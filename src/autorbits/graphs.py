@@ -122,22 +122,29 @@ def is_automorphism(g, perm):
     return bool(np.array_equal(g.colors[np.ix_(p, p)], g.colors))
 
 
-def from_undirected_edges(n, edges):
+def from_adjacency(adj):
     """Simple undirected graph as a 3-color matrix (loop / edge / non-edge).
 
-    Unused colors are compacted away, so e.g. the complete graph ends up
-    with two colors.
+    ``adj`` is a boolean n x n matrix; a pair is an edge when either of its
+    two entries is set, and the diagonal is ignored. Unused colors are
+    compacted away, so e.g. the complete graph ends up with two colors.
     """
-    mat = np.full((n, n), 2, dtype=np.int64)
+    adj = np.asarray(adj, dtype=bool)
+    mat = np.where(adj | adj.T, np.int64(1), np.int64(2))
     np.fill_diagonal(mat, 0)
+    return EdgeColoredGraph(mat)
+
+
+def from_undirected_edges(n, edges):
+    """``from_adjacency`` of an edge list on vertices [0, n)."""
+    adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range")
-        mat[u, v] = 1
-        mat[v, u] = 1
-    return EdgeColoredGraph(mat)
+        adj[u, v] = True
+    return from_adjacency(adj)
 
 
 def complete_graph(n):

@@ -81,12 +81,6 @@ class OrderedPartition:
             raise SizeMismatchError("partition sizes differ")
         return sorted(self.classes) == sorted(other.classes)
 
-    def sorted_by_min(self):
-        """The same blocks with class ids reassigned by smallest member."""
-        order = sorted(range(len(self.classes)), key=lambda c: self.classes[c][0])
-        rank = {cid: i for i, cid in enumerate(order)}
-        return OrderedPartition([rank[int(c)] for c in self.class_of])
-
     def __eq__(self, other):
         if not isinstance(other, OrderedPartition):
             return NotImplemented

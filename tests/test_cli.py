@@ -296,3 +296,53 @@ def test_determinism_independent_of_hash_seed(tmp_path):
         payload["runtime_ms"] = 0
         outputs.add(json.dumps(payload, sort_keys=True))
     assert len(outputs) == 1
+
+
+# Flags a command does not read, which it used to accept and ignore.
+UNREAD_FLAGS = [
+    ("orbits", "--max-n", "9"),
+    ("auts", "--max-n", "9"),
+    ("iso", "--max-n", "9"),
+    ("refine", "--budget", "5"),
+    ("refine", "--max-n", "9"),
+    ("oracle-orbits", "--k", "1"),
+    ("oracle-orbits", "--budget", "5"),
+    ("oracle-aut", "--k", "3"),
+    ("oracle-aut", "--budget", "5"),
+    ("assembly", "--k", "2"),
+    ("assembly", "--budget", "5"),
+    ("assembly", "--max-n", "9"),
+    ("assembly", "--format", "ws"),
+    ("orbits", "--format", "ws"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS)
+def test_flag_the_command_does_not_take_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    from autorbits import cli as cli_module
+
+    path = write_graph(tmp_path, "k3.cdg", complete_graph(3))
+    files = {"iso": [path, path], "assembly": [str(DATA / "assembled2.ws")]}.get(command, [path])
+    assert cli_module.main([command, *files, flag, value, "--json"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and flag in out.err
+
+
+@pytest.mark.parametrize("name,text", [
+    ("order.dimacs", "p edge 1000 0\n"),
+    ("order.cdg", "cdg 400 1\n"),
+    # graph6 of the empty graph on 400 vertices: size field, then zero bits
+    ("order.g6", "~?EO" + "?" * (400 * 399 // 2 // 6) + "\n"),
+])
+def test_order_beyond_memory_is_a_resource_limit(tmp_path, monkeypatch, capsys, name, text):
+    from autorbits import cli as cli_module
+    from autorbits import formats
+
+    # 400 x 400 int64 entries need 1.28 MB, more than this memory.
+    monkeypatch.setattr(formats, "_physical_memory", lambda: 10**6)
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli_module.main(["orbits", str(path), "--json"]) == 6
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "resource limit" in out.err and "Traceback" not in out.err

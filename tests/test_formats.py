@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autorbits import (
     InputDocument,
     ParseError,
+    ResourceLimitError,
     complete_graph,
     cycle_graph,
     emit_cdg,
+    formats,
+    from_undirected_edges,
     parse_graph,
     parse_window_set,
     path_graph,
@@ -156,3 +161,39 @@ def test_graph6_long_size_form():
     for u, v in ref.edges():
         assert int(ours.colors[u, v]) == edge_color
         assert int(ours.colors[v, u]) == edge_color
+
+
+@pytest.mark.parametrize("density", [0, 0.3, 1])
+@pytest.mark.parametrize("n", [1, 2, 62, 63, 64, 200, 1000])
+def test_graph6_decodes_like_networkx(n, density):
+    # n = 63 is the first order with the 4-byte size field; the orders and
+    # densities vary the padding bits of the last byte.
+    networkx = pytest.importorskip("networkx")
+    ref = networkx.gnp_random_graph(n, density, seed=n)
+    line = networkx.to_graph6_bytes(ref, header=False)
+    assert parse_graph(InputDocument("graph6", line)) == from_undirected_edges(n, ref.edges())
+
+
+def test_cdg_color_beyond_int64_is_a_parse_error():
+    with pytest.raises(ParseError, match="line 2, col 1"):
+        parse_graph(doc("cdg", "cdg 1 99999999999999999999\n18446744073709551616\n"))
+
+
+SOUP = ["p", "edge", "e", "c", "cdg", "ws", "Dhc", "~", "?", "}", "0", "1", "2", "3", "400",
+        "-1", "+2", "1_0", "x", "18446744073709551616", "99999999999999999999", "\n", "\n",
+        "\t", "\x7f", "\xff"]
+LEADS = {"graph6": ">>graph6<<", "dimacs": "p edge", "cdg": "cdg", "ws": "ws"}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(LEADS)), st.booleans(), st.lists(st.sampled_from(SOUP), max_size=16))
+def test_token_soup_parses_or_raises_a_typed_error(fmt, lead, tokens):
+    payload = " ".join([LEADS[fmt]] * lead + tokens).encode("latin-1")
+    parse = parse_window_set if fmt == "ws" else parse_graph
+    with pytest.MonkeyPatch.context() as mp:
+        # No order above 353 reaches an allocation.
+        mp.setattr(formats, "_physical_memory", lambda: 10**6)
+        try:
+            parse(InputDocument(fmt, payload))
+        except (ParseError, ResourceLimitError):
+            pass
