@@ -22,7 +22,7 @@ from autorbits import (
 c5 = cycle_graph(5)
 print("C5 color matrix:")
 print(c5.colors)
-print("colors in use:", c5.color_count)
+print("color_count (largest id + 1):", c5.color_count)
 
 # Arbitrary pair colorings are fine too: a directed 3-cycle with a marked arc.
 directed = EdgeColoredGraph(

@@ -43,8 +43,7 @@ mixed = disjoint_union(cycle_graph(3), cycle_graph(4))
 print("\nC3+C4, k=1 classes:", refine(mixed, k1).vertex_partition.classes)
 print("C3+C4, k=2 classes:", refine(mixed, k2).vertex_partition.classes)
 
-# On C5 the stable pair coloring has exactly three classes:
-# loops, cycle edges, and non-edges.
+# On C5 the three atomic pair classes (loops, cycle edges, non-edges) are
+# already stable: no round splits, and the vertices stay one class.
 coloring = refine(cycle_graph(5), k2)
-print("\nC5 stable pair coloring:")
-print(coloring.pair_coloring)
+print("\nC5, k=2 classes:", coloring.vertex_partition.classes, "rounds:", coloring.rounds_used)

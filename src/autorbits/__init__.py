@@ -59,7 +59,7 @@ from .graphs import (
     path_graph,
     petersen_graph,
 )
-from .oracle import OracleLimit, brute_aut, brute_iso, brute_orbits, closure_orbits
+from .oracle import brute_aut, brute_iso, brute_orbits, closure_orbits
 from .partitions import OrderedPartition, partition_join
 from .refine import RefinementConfig, StableColoring, individualize_sequence, refine
 
@@ -78,7 +78,6 @@ __all__ = [
     "LOWER_BOUND",
     "NON_ISOMORPHIC",
     "NotDiscreteError",
-    "OracleLimit",
     "OrbitSystem",
     "OrderedPartition",
     "ParseError",

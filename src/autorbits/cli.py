@@ -1,10 +1,11 @@
 """Command-line interface with deterministic JSON and text reporting.
 
 Exit codes: 0 success (or isomorphic), 1 non-isomorphic, 2 inconclusive or
-lower_bound where certification was requested (iso / verify), 3 parse error,
-4 usage error (a flag the command does not take included), 5 internal
-invariant violation or any other unexpected error, 6 resource limit (out of
-memory, recursion depth, or an input order too large for memory).
+lower_bound where certification was requested (iso / verify), 3 parse error
+or unreadable input file, 4 usage error (a flag the command does not take
+included), 5 internal invariant violation or any other unexpected error,
+6 resource limit (out of memory, recursion depth, or an input order too
+large for memory).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     ResourceLimitError,
     SizeLimitError,
 )
-from .oracle import OracleLimit, brute_aut, brute_orbits
+from .oracle import brute_aut, brute_orbits
 from .refine import RefinementConfig, refine
 from .formats import load_document, parse_graph, parse_window_set
 
@@ -73,10 +74,6 @@ def _orbit_fields(system):
     }
 
 
-def _oracle_limit(args):
-    return None if args.max_n is None else OracleLimit(max_n=args.max_n)
-
-
 # Handlers take the parsed arguments and the loaded inputs and return
 # (report fields, RunStats or None, exit code). They reach the library
 # through this module's globals, looked up at call time.
@@ -112,17 +109,17 @@ def _refine(args, g):
 
 
 def _oracle_orbits(args, g):
-    return {"orbits": _sorted_classes(brute_orbits(g, _oracle_limit(args)))}, None, EXIT_OK
+    return {"orbits": _sorted_classes(brute_orbits(g, args.max_n))}, None, EXIT_OK
 
 
 def _oracle_aut(args, g):
-    auts = brute_aut(g, _oracle_limit(args))
+    auts = brute_aut(g, args.max_n)
     return {"automorphisms": [p.as_list() for p in auts], "order": len(auts)}, None, EXIT_OK
 
 
 def _verify(args, g):
     system = compute_orbits(g, RefinementConfig(k=args.k), args.budget)
-    oracle_partition = brute_orbits(g, _oracle_limit(args))
+    oracle_partition = brute_orbits(g, args.max_n)
     match = system.partition.same_blocks(oracle_partition)
     if system.status == CERTIFIED and not match:
         raise InternalInvariantError("certified partition disagrees with the oracle")
@@ -182,7 +179,8 @@ _FLAGS = {
     "--budget": dict(type=_non_negative_int, default=None,
                      help="at least 0; orbits/verify: iteration cap (default: n - 1); "
                           "iso: descent node cap, two per stage pair (default: 128 n)"),
-    "--max-n": dict(type=int, default=None, help="brute-force size cap override"),
+    "--max-n": dict(type=_non_negative_int, default=8,
+                    help="at least 0; brute-force size cap (default 8)"),
 }
 
 
@@ -263,7 +261,7 @@ def main(argv=None):
 
     try:
         payload, code = _dispatch(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SizeLimitError as exc:

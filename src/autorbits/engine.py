@@ -14,8 +14,7 @@ and when the two coincide the middle is pinned.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,8 +102,6 @@ class Run:
         if out is None:
             self.stats.refine_calls += 1
             coloring = refine(individualize_sequence(self.g, fixes), self.cfg)
-            # The engine never reads the n^2 pair coloring; drop it.
-            coloring = replace(coloring, pair_coloring=None)
             out = StageGraph(base=self.g, fixes=fixes, coloring=coloring)
             capacity = max(1, STAGE_STORE_VERTICES // self.g.n)
             if len(self._stages) >= capacity:
@@ -165,10 +162,8 @@ def canonical_form_discrete(stage):
     part = stage.coloring.vertex_partition
     if not part.is_discrete():
         raise NotDiscreteError("canonical form requires a discrete coloring")
-    head = struct.pack(">q", stage.base.n)
     order = _class_order(stage)
-    body = stage.base.colors[np.ix_(order, order)].tobytes()
-    return head + stage.coloring.trace_digest + body
+    return stage.coloring.trace_digest + stage.base.colors[np.ix_(order, order)].tobytes()
 
 
 def _class_order(stage):

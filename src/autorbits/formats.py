@@ -15,7 +15,7 @@ import numpy as np
 
 from .assembly import WindowSet
 from .errors import ParseError, ResourceLimitError
-from .graphs import EdgeColoredGraph, from_adjacency
+from .graphs import COLOR_LIMIT, EdgeColoredGraph, from_adjacency
 
 _G6_HEADER = ">>graph6<<"
 
@@ -220,9 +220,9 @@ def _parse_cdg(payload):
     if n < 1 or c < 1:
         raise ParseError("cdg header out of range", line=lineno)
     _check_order(n)
-    # A color beyond int64 is refused like any color outside [0, C).
-    rows = _rows(records, n, n, bound=min(c, 2**63))
-    return EdgeColoredGraph(np.array(rows, dtype=np.int64))
+    # A color at or beyond the graph's id limit is refused like any color
+    # outside [0, C).
+    return EdgeColoredGraph(_rows(records, n, n, bound=min(c, COLOR_LIMIT)))
 
 
 def _parse_ws(payload):

@@ -1,10 +1,11 @@
 """Edge-colored digraph model: a graph is a total color assignment on V x V.
 
 The matrix entry ``colors[u, v]`` is the color of the ordered pair (u, v);
-diagonal entries act as vertex colors. Color ids are kept dense: every id in
-``[0, color_count)`` occurs at least once, and constructors renumber ids
-order-preservingly whenever gaps appear. Order-preserving compaction keeps
-color ids comparable across graphs related by a vertex relabeling.
+diagonal entries act as vertex colors. Color ids are kept as given, so two
+graphs are equal only when their matrices are, and ``color_count`` is the
+largest id + 1. Input ids must lie in [0, 2**62); the fresh ids derived
+from a graph's (individualization, the tag of a disjoint union) may pass
+that bound and still fit in int64.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import numpy as np
 
 from .errors import SizeMismatchError
 
+COLOR_LIMIT = 1 << 62
+
 
 class EdgeColoredGraph:
     """Immutable dense color matrix over ordered vertex pairs."""
@@ -20,20 +23,31 @@ class EdgeColoredGraph:
     __slots__ = ("colors", "n", "color_count")
 
     def __init__(self, colors):
-        mat = np.asarray(colors, dtype=np.int64)
+        mat = np.array(colors, dtype=np.int64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("color matrix must be square")
-        n = int(mat.shape[0])
-        if n == 0:
+        if mat.size == 0:
             raise ValueError("graph needs at least one vertex")
-        if mat.min() < 0:
-            raise ValueError("color ids must be non-negative")
-        used, dense = np.unique(mat, return_inverse=True)
-        mat = dense.reshape(n, n).astype(np.int64)
+        if mat.min() < 0 or mat.max() >= COLOR_LIMIT:
+            raise ValueError("color ids must lie in [0, 2**62)")
+        self._freeze(mat)
+
+    @classmethod
+    def derived(cls, mat):
+        """Graph over mat, a fresh int64 matrix whose ids the library made:
+        a relabeling or union of graphs, fresh individualization ids, or the
+        fixed ids of ``from_adjacency``. It is frozen in place, neither
+        copied nor range-checked.
+        """
+        g = cls.__new__(cls)
+        g._freeze(mat)
+        return g
+
+    def _freeze(self, mat):
         mat.setflags(write=False)
         self.colors = mat
-        self.n = n
-        self.color_count = int(used.size)
+        self.n = int(mat.shape[0])
+        self.color_count = int(mat.max()) + 1
 
     def diagonal(self):
         return self.colors.diagonal()
@@ -111,7 +125,7 @@ def apply_permutation(g, perm):
     if perm.n != g.n:
         raise SizeMismatchError("permutation size does not match graph order")
     inv = perm.inverse().image
-    return EdgeColoredGraph(g.colors[np.ix_(inv, inv)])
+    return EdgeColoredGraph.derived(g.colors[np.ix_(inv, inv)])
 
 
 def is_automorphism(g, perm):
@@ -126,13 +140,13 @@ def from_adjacency(adj):
     """Simple undirected graph as a 3-color matrix (loop / edge / non-edge).
 
     ``adj`` is a boolean n x n matrix; a pair is an edge when either of its
-    two entries is set, and the diagonal is ignored. Unused colors are
-    compacted away, so e.g. the complete graph ends up with two colors.
+    two entries is set, and the diagonal is ignored. Ids are kept, so the
+    complete graph uses {0, 1} and the empty graph {0, 2}.
     """
     adj = np.asarray(adj, dtype=bool)
     mat = np.where(adj | adj.T, np.int64(1), np.int64(2))
     np.fill_diagonal(mat, 0)
-    return EdgeColoredGraph(mat)
+    return EdgeColoredGraph.derived(mat)
 
 
 def from_undirected_edges(n, edges):
@@ -182,4 +196,4 @@ def disjoint_union(g1, g2):
     mat = np.full((n1 + n2, n1 + n2), tag, dtype=np.int64)
     mat[:n1, :n1] = g1.colors
     mat[n1:, n1:] = g2.colors
-    return EdgeColoredGraph(mat)
+    return EdgeColoredGraph.derived(mat)

@@ -3,15 +3,13 @@
 Everything here trades speed for obviousness: automorphisms come from
 filtering all n! permutations, isomorphisms from the first lexicographic
 match, orbits from closing generator images. The permutation scan is
-vectorized in chunks so n = 8 stays in milliseconds and an explicit
-override can still reach n = 10.
+vectorized in chunks so n = 8 stays in milliseconds and a raised
+``max_n`` can still reach n = 10.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,28 +21,11 @@ from .partitions import join_pairs
 _CHUNK = 40320
 
 
-@dataclass(frozen=True)
-class OracleLimit:
-    """Cap on brute-force enumeration size (n! permutations)."""
-
-    max_n: int = 8
-
-
-_DEFAULT_LIMIT = OracleLimit()
-
-
-def _check_size(n, limit, force):
-    limit = limit or _DEFAULT_LIMIT
-    if n > limit.max_n:
-        if not force:
-            raise SizeLimitError(
-                f"brute force over {n}! permutations exceeds max_n={limit.max_n}; "
-                "pass force=True (CLI: --max-n) to override"
-            )
-        warnings.warn(
-            f"brute-force enumeration of {n}! permutations; this may be slow",
-            RuntimeWarning,
-            stacklevel=3,
+def _check_size(n, max_n):
+    if n > max_n:
+        raise SizeLimitError(
+            f"brute force over {n}! permutations exceeds max_n={max_n}; "
+            "raise max_n (CLI: --max-n) to allow it"
         )
 
 
@@ -66,9 +47,10 @@ def _perm_chunks(n):
         yield np.array(block, dtype=np.int64)
 
 
-def brute_aut(g, limit=None, force=False):
-    """All automorphisms of g, lexicographic by image sequence."""
-    _check_size(g.n, limit, force)
+def brute_aut(g, max_n=8):
+    """All automorphisms of g, lexicographic by image sequence; refuses
+    n > max_n."""
+    _check_size(g.n, max_n)
     colors = g.colors
     found = []
     for pool in _perm_chunks(g.n):
@@ -78,16 +60,16 @@ def brute_aut(g, limit=None, force=False):
     return found
 
 
-def brute_orbits(g, limit=None, force=False):
+def brute_orbits(g, max_n=8):
     """Orbit partition of Aut(g), via closure of the enumerated group."""
-    return closure_orbits(g.n, brute_aut(g, limit=limit, force=force))
+    return closure_orbits(g.n, brute_aut(g, max_n))
 
 
-def brute_iso(g1, g2, limit=None, force=False):
+def brute_iso(g1, g2, max_n=8):
     """First lexicographic permutation mapping g1's matrix onto g2's, or None."""
     if g1.n != g2.n:
         raise SizeMismatchError("graphs have different orders")
-    _check_size(g1.n, limit, force)
+    _check_size(g1.n, max_n)
     for pool in _perm_chunks(g1.n):
         mapped = g2.colors[pool[:, :, None], pool[:, None, :]]
         ok = (mapped == g1.colors).all(axis=(1, 2))

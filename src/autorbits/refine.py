@@ -8,16 +8,18 @@ pair colors and previous ordinals, the ordinal assignment commutes with
 vertex relabeling: the class order is canonical.
 
 One loop serves every dimension k; a dimension only supplies its atoms
-(the round-0 rows), how a cell's row sees the other cells, and how the
-stable cell ids become vertex and pair colorings. Each round's rows lead
-with the old id, so the class count rises strictly until it stops
-changing, and a refine ends within n^k rounds.
+(the first round's rows) and how a cell's row sees the other cells. Each
+later round's rows lead with the old id, so the class count rises strictly
+until it stops changing, and a refine ends within n^k rounds. Atoms rank
+the diagonal cells (v, ..., v) last, so their ids form the top block of
+every round's ids, and the vertex classes are those ids shifted down to 0.
 
-A run also hashes its *trace*, the sorted signature rows and their
-multiplicities of every round, into ``trace_digest``. Two refinement runs
-with equal digests have ordinal-for-ordinal comparable colorings, which is
-what lets the engine compare colorings across different individualizations
-of the same graph.
+A run also hashes its *trace* into ``trace_digest``: k, n and the color
+count, then the class count, sorted signature rows and multiplicities of
+the atoms and of every round that splits. Two refinement runs with equal
+digests have ordinal-for-ordinal comparable colorings, which is what lets
+the engine compare colorings across different individualizations of the
+same graph.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ import numpy as np
 from .graphs import EdgeColoredGraph
 from .partitions import OrderedPartition
 
-REFINEMENT_DIMENSIONS = (1, 2, 3)
-
 
 @dataclass(frozen=True)
 class RefinementConfig:
@@ -45,8 +45,8 @@ class RefinementConfig:
     k: int = 2
 
     def __post_init__(self):
-        if self.k not in REFINEMENT_DIMENSIONS:
-            raise ValueError(f"k must be one of {REFINEMENT_DIMENSIONS}")
+        if self.k not in _DIMENSIONS:
+            raise ValueError(f"k must be one of {tuple(_DIMENSIONS)}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class StableColoring:
     """A refinement fixed point: one further round produces no split."""
 
     vertex_partition: OrderedPartition
-    pair_coloring: np.ndarray | None
     rounds_used: int
     trace_digest: bytes
 
@@ -64,13 +63,6 @@ class StableColoring:
 
 def _pack(*ints):
     return struct.pack(f">{len(ints)}q", *ints)
-
-
-def _round_digest(tag, round_no, row_bytes, count, ids):
-    h = hashlib.blake2b(digest_size=16)
-    for chunk in (tag, _pack(round_no, count), row_bytes, np.bincount(ids).tobytes()):
-        h.update(chunk)
-    return h.digest()
 
 
 def _unique_rows(rows):
@@ -88,50 +80,44 @@ def _unique_rows(rows):
 def refine(g, cfg=None):
     """Stable coloring of g under the configured stabilization dimension."""
     cfg = cfg or RefinementConfig()
-    atoms, neighbours, finish = _DIMENSIONS[cfg.k](g)
-    tag = b"k%d" % cfg.k
+    rows, neighbours = _DIMENSIONS[cfg.k](g)
     trace = hashlib.blake2b(b"T" + _pack(cfg.k, g.n, g.color_count), digest_size=16)
-    row_bytes, ids, class_count = _unique_rows(atoms)
-    trace.update(_round_digest(tag, 0, row_bytes, class_count, ids))
-    rounds = 0
-    while class_count < ids.size:
-        enc = neighbours(ids, np.int64(class_count))
+    # The atoms are round 0; rounds_used counts the rounds after them.
+    class_count, rounds = 0, -1
+    while True:
+        row_bytes, ids, count = _unique_rows(rows)
+        if count == class_count:
+            # No split: the ids are the previous round's.
+            break
+        class_count, rounds = count, rounds + 1
+        for chunk in (_pack(count), row_bytes, np.bincount(ids).tobytes()):
+            trace.update(chunk)
+        if count == ids.size:
+            break
+        enc = neighbours(ids, np.int64(count))
         enc.sort(axis=1)
         rows = np.concatenate((ids[:, None], enc), axis=1)
-        row_bytes, new_ids, new_count = _unique_rows(rows)
-        if new_count == class_count:
-            break
-        ids = new_ids
-        class_count = new_count
-        rounds += 1
-        trace.update(_round_digest(tag, rounds, row_bytes, new_count, ids))
-    vertex_ids, pair = finish(ids)
+    # Cell (v, ..., v) sits at index v * (1 + n + ... + n^(k-1)).
+    diagonal = ids[:: sum(g.n**i for i in range(cfg.k))]
     return StableColoring(
-        vertex_partition=OrderedPartition(vertex_ids),
-        pair_coloring=pair,
+        vertex_partition=OrderedPartition(diagonal - diagonal.min()),
         rounds_used=rounds,
         trace_digest=trace.digest(),
     )
 
 
-def _dense(values):
-    _, inverse = np.unique(values, return_inverse=True)
-    return inverse.reshape(-1).astype(np.int64)
-
-
 def _setup_k1(g):
     n = g.n
-    colors = g.colors
-    # One int encodes the triple (color to w, color from w, ordinal of w).
-    base = (colors * g.color_count + colors.T) * np.int64(n + 1)
+    # One int encodes the triple (color to w, color from w, ordinal of w),
+    # over color ranks so that the radix stays small.
+    palette, rank = np.unique(g.colors, return_inverse=True)
+    rank = rank.reshape(n, n).astype(np.int64)
+    base = (rank * palette.size + rank.T) * np.int64(n + 1)
 
     def neighbours(ords, scale):
         return base + ords[None, :]
 
-    def finish(ords):
-        return ords, None
-
-    return colors.diagonal()[:, None], neighbours, finish
+    return g.colors.diagonal()[:, None], neighbours
 
 
 def _setup_k2(g):
@@ -155,11 +141,7 @@ def _setup_k2(g):
         # enc[u, v, w] = (color of (u, w), color of (w, v)) packed into one int.
         return (mat[:, None, :] * scale + mat.T[None, :, :]).reshape(n * n, n)
 
-    def finish(pair):
-        mat = pair.reshape(n, n)
-        return _dense(mat.diagonal()), mat
-
-    return atoms, neighbours, finish
+    return atoms, neighbours
 
 
 def _setup_k3(g):
@@ -188,28 +170,23 @@ def _setup_k3(g):
         c2 = cube[:, :, None, :]
         return ((c0 * scale + c1) * scale + c2).reshape(n**3, n)
 
-    def finish(trip):
-        cube = trip.reshape(n, n, n)
-        pair = _dense(cube[idx[:, None], idx[None, :], idx[None, :]]).reshape(n, n)
-        return _dense(cube[idx, idx, idx]), pair
-
-    return atoms, neighbours, finish
+    return atoms, neighbours
 
 
-# Each setup returns the round-0 atom rows (one per cell of V^k), a
-# neighbours(ids, scale) giving each cell's n packed views of other cells
-# (scale exceeds every id), and a finish(ids) giving the vertex ids and the
-# pair coloring (None for k=1).
+# Each setup returns the atom rows (one per cell of V^k, the diagonal cells
+# ranking last) and a neighbours(ids, scale) giving each cell's n packed
+# views of other cells (scale exceeds every id).
 _DIMENSIONS = {1: _setup_k1, 2: _setup_k2, 3: _setup_k3}
 
 
 def individualize_sequence(g, fixes):
     """Give each fix vertex, in order, its own fresh diagonal color.
 
-    The i-th fix gets color_count + i; fresh ids always land above every
-    existing id and construction compacts ids order-preservingly, so the
-    result does not depend on folding one-vertex steps. Fixes must be
-    distinct vertices of g.
+    The i-th fix gets color_count + i. Fresh ids always land above every
+    existing id and construction keeps ids as given, so the result does
+    not depend on folding one-vertex steps. A fresh id may pass the
+    constructor's 2**62 bound on input ids, and still fits in int64.
+    Fixes must be distinct vertices of g.
     """
     seen = set()
     for v in fixes:
@@ -223,4 +200,4 @@ def individualize_sequence(g, fixes):
     mat = g.colors.copy()
     for i, v in enumerate(fixes):
         mat[v, v] = g.color_count + i
-    return EdgeColoredGraph(mat)
+    return EdgeColoredGraph.derived(mat)

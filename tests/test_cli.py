@@ -126,6 +126,25 @@ def test_missing_file_exit_code():
     assert run_cli("orbits", "/nonexistent.cdg").returncode == 3
 
 
+def test_directory_input_is_a_parse_error(tmp_path, capsys):
+    from autorbits import cli as cli_module
+
+    assert cli_module.main(["orbits", str(tmp_path), "--json"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("parse error:") and out.err.count("\n") == 1
+
+
+def test_graph6_complete_graph_is_not_the_empty_graph(tmp_path, capsys):
+    from autorbits import cli as cli_module
+
+    k5, e5 = tmp_path / "k5.g6", tmp_path / "e5.g6"
+    k5.write_text("D~{\n")
+    e5.write_text("D??\n")
+    assert cli_module.main(["iso", str(k5), str(e5), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "non_isomorphic"
+
+
 def test_usage_error_exit_code():
     assert run_cli("orbits").returncode == 4
     assert run_cli("frobnicate", "x").returncode == 4
@@ -174,6 +193,17 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys, command):
     assert cli_module.main([command, *files, "--budget", "-1", "--json"]) == 4
     out = capsys.readouterr()
     assert out.out == "" and "--budget" in out.err
+
+
+@pytest.mark.parametrize("value", ["-1", "+3", " 3"])
+@pytest.mark.parametrize("command", ["oracle-orbits", "oracle-aut", "verify"])
+def test_bad_oracle_cap_is_a_usage_error(tmp_path, capsys, command, value):
+    from autorbits import cli as cli_module
+
+    path = write_graph(tmp_path, "k3.cdg", complete_graph(3))
+    assert cli_module.main([command, path, "--max-n", value, "--json"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and "--max-n" in out.err
 
 
 def test_dimacs_order_beyond_addressable_is_a_resource_limit(tmp_path, capsys):

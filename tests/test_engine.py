@@ -3,6 +3,7 @@ import pytest
 
 from autorbits import (
     CERTIFIED,
+    EdgeColoredGraph,
     INCONCLUSIVE,
     ISOMORPHIC,
     LOWER_BOUND,
@@ -20,6 +21,7 @@ from autorbits import (
     compute_orbits,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     extract_isomorphism,
     find_regular_stage,
     from_undirected_edges,
@@ -117,15 +119,13 @@ def test_stage_store_refines_each_distinct_tuple_once(monkeypatch):
     assert len(calls) == len(set(asked)) == run.stats.refine_calls
 
 
-def test_stored_stage_holds_no_pair_matrix():
+def test_stored_stage_equals_a_fresh_refine():
     g = petersen_graph()
     fixes = (3, 7)
     stage = Run(g, K2).stage(fixes)
-    assert stage.coloring.pair_coloring is None
-    full = refine(individualize_sequence(g, fixes), K2)
-    assert full.pair_coloring is not None
-    assert stage.coloring.vertex_partition == full.vertex_partition
-    assert stage.coloring.trace_digest == full.trace_digest
+    fresh = refine(individualize_sequence(g, fixes), K2)
+    assert stage.coloring.vertex_partition == fresh.vertex_partition
+    assert stage.coloring.trace_digest == fresh.trace_digest
 
 
 @pytest.mark.parametrize("g", [petersen_graph(), complete_graph(8)], ids=["petersen", "k8"])
@@ -416,6 +416,29 @@ def test_iso_hard_pair_k1_never_false_positive():
     assert result.witness is None
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("cfg", [K1, K2], ids=["k1", "k2"])
+def test_complete_graph_is_not_its_empty_complement(n, cfg):
+    g, h = complete_graph(n), empty_graph(n)
+    result = iso_test(g, h, cfg)
+    assert result.verdict == NON_ISOMORPHIC and result.witness is None
+    assert brute_iso(g, h) is None
+
+
+def test_ids_past_the_input_bound_still_refine():
+    # Individualizing a graph whose largest id is 2**62 - 1 gives its fixed
+    # vertex the id 2**62, past the bound on input ids.
+    g = EdgeColoredGraph([[2**62 - 1, 0, 0], [0, 2**62 - 1, 0], [0, 0, 2**62 - 1]])
+    fixed = individualize_sequence(g, [1])
+    assert fixed.colors[1, 1] == 2**62
+    for cfg in (K1, K2):
+        assert refine(fixed, cfg).vertex_partition.same_blocks(
+            OrderedPartition.from_classes([[0, 2], [1]])
+        )
+        system = compute_orbits(g, cfg)
+        assert system.status == CERTIFIED and system.partition.class_count == 1
+
+
 def _atlas_graphs(n):
     from networkx.generators.atlas import graph_atlas_g
 
@@ -452,7 +475,9 @@ def test_iso_decides_small_isomorphism_classes(cfg):
                 else:
                     assert result.verdict == ISOMORPHIC, (n, i, j)
                     assert apply_permutation(g, result.witness) == h
-    assert pairs > 34 * 34 + 156
+    # The exact counts pin which six-vertex pairs share a base trace. K6 and
+    # the empty graph differ in color_count, so their traces differ.
+    assert pairs == {1: 1370, 2: 1312}[cfg.k]
 
 
 def test_iso_relabeled_long_cycle_is_cheap():
@@ -547,10 +572,8 @@ def test_found_generators_compose_to_automorphisms():
 
 
 def test_orbits_petersen_confirmed_by_forced_oracle():
-    from autorbits import OracleLimit
-
     system = compute_orbits(petersen_graph(), K2)
-    truth = brute_orbits(petersen_graph(), limit=OracleLimit(max_n=10))
+    truth = brute_orbits(petersen_graph(), max_n=10)
     assert system.status == CERTIFIED
     assert system.partition.same_blocks(truth)
 

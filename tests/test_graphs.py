@@ -15,10 +15,14 @@ from autorbits import (
 from util import random_colored_digraph, random_permutation
 
 
-def test_constructor_compacts_color_ids():
-    g = EdgeColoredGraph([[5, 9], [9, 5]])
-    assert g.color_count == 2
-    assert g.colors.tolist() == [[0, 1], [1, 0]]
+def test_constructor_keeps_color_ids():
+    source = np.array([[5, 9], [9, 5]])
+    g = EdgeColoredGraph(source)
+    assert g.color_count == 10
+    assert g.colors.tolist() == [[5, 9], [9, 5]]
+    source[0, 0] = 7
+    assert g.colors[0, 0] == 5 and not g.colors.flags.writeable
+    assert EdgeColoredGraph([[2**62 - 1]]).color_count == 2**62
 
 
 def test_constructor_rejects_bad_input():
@@ -26,6 +30,8 @@ def test_constructor_rejects_bad_input():
         EdgeColoredGraph([[0, 1, 2], [1, 0, 2]])
     with pytest.raises(ValueError):
         EdgeColoredGraph([[-1]])
+    with pytest.raises(ValueError):
+        EdgeColoredGraph([[2**62]])
     with pytest.raises(ValueError):
         EdgeColoredGraph(np.zeros((0, 0), dtype=int))
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from autorbits import (
-    OracleLimit,
     Permutation,
     SizeLimitError,
     apply_permutation,
@@ -46,9 +45,11 @@ def test_size_limit_and_override():
     g = complete_graph(9)
     with pytest.raises(SizeLimitError):
         brute_aut(g)
-    with pytest.warns(RuntimeWarning):
-        auts = brute_aut(cycle_graph(9), OracleLimit(max_n=8), force=True)
-    assert len(auts) == 18
+    with pytest.raises(SizeLimitError):
+        brute_iso(g, g)
+    with pytest.raises(SizeLimitError):
+        brute_orbits(cycle_graph(4), max_n=3)
+    assert len(brute_aut(cycle_graph(9), max_n=9)) == 18
 
 
 def test_brute_orbits_k4():

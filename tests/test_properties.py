@@ -1,4 +1,5 @@
-"""Property tests of iso_test on random small graphs, against brute force."""
+"""Property tests of refine and iso_test on random small graphs, against
+brute force."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 from autorbits import (
     ISOMORPHIC,
     NON_ISOMORPHIC,
+    EdgeColoredGraph,
+    OrderedPartition,
     Permutation,
     RefinementConfig,
     apply_permutation,
     brute_iso,
     iso_test,
+    refine,
 )
 from util import graph_from_bitmask
 
@@ -42,3 +46,41 @@ def test_iso_test_is_sound_and_complete_on_small_graphs(case):
     else:
         assert result.verdict == ISOMORPHIC
         assert apply_permutation(g1, result.witness) == g2
+
+
+# A sparse palette: ids with gaps, one far above the others.
+SPARSE_IDS = (0, 3, 7, 2**40)
+
+
+@st.composite
+def gapped_digraphs(draw):
+    n = draw(st.integers(1, 7))
+    cells = draw(st.lists(st.sampled_from(SPARSE_IDS), min_size=n * n, max_size=n * n))
+    g = EdgeColoredGraph(np.array(cells, dtype=np.int64).reshape(n, n))
+    perm = Permutation(np.array(draw(st.permutations(range(n))), dtype=np.int64))
+    k = draw(st.sampled_from((1, 2, 3)))
+    return g, perm, RefinementConfig(k=k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gapped_digraphs())
+def test_gapped_palettes_are_refined_and_told_apart(case):
+    g, perm, cfg = case
+    h = apply_permutation(g, perm)
+    moved, still = refine(h, cfg), refine(g, cfg)
+    assert moved.trace_digest == still.trace_digest
+    relabeled = np.empty(g.n, dtype=np.int64)
+    relabeled[perm.image] = still.vertex_partition.class_of
+    assert moved.vertex_partition == OrderedPartition(relabeled)
+
+    same = iso_test(g, h, cfg)
+    assert same.verdict == ISOMORPHIC
+    assert apply_permutation(g, same.witness) == h
+
+    # Raising the largest id preserves the order of ids, so a graph that
+    # ranked its ids would not see the change.
+    top = int(g.colors.max())
+    raised = EdgeColoredGraph(np.where(g.colors == top, top + 1, g.colors))
+    other = iso_test(g, raised, cfg)
+    assert other.verdict == NON_ISOMORPHIC and other.witness is None
+    assert brute_iso(g, raised) is None
