@@ -65,7 +65,7 @@ strong = iso_test(rook_4x4(), shrikhande(), k2)
 print(f"\nrook vs Shrikhande, k=2: {strong.verdict} ({time.perf_counter() - t0:.2f}s)")
 
 # With k=1 no single individualization separates them, so the descent has
-# to search: it exhausts every branch (737 stage pairs) and finds none that
+# to search: it exhausts every branch (113 stage pairs) and finds none that
 # leads to an isomorphism.
 t0 = time.perf_counter()
 weak = iso_test(rook_4x4(), shrikhande(), k1)

@@ -1,25 +1,47 @@
 """Color refinement on V, V^2 and V^3, plus vertex individualization.
 
 Each refinement round replaces a cell's color by its old color together with
-a multiset of colors seen through every other vertex, then reassigns dense
-ordinals by sorting the resulting signature rows lexicographically
-(np.unique does both at once). Because signatures are built only from raw
-pair colors and previous ordinals, the ordinal assignment commutes with
-vertex relabeling: the class order is canonical.
+a hash of the multiset of colors it sees through every other vertex, then
+reassigns dense ids by ranking the rows (old id, S_1, ..., S_P)
+lexicographically. The multiset hash is a sum of products: with h_j, s_j
+(and t_j at k=3) fixed 20-bit hashes of a class id, j = 1..P, P = 3,
+
+- k=1: S_j(u) = sum_w a_j(c(u,w), c(w,u)) * h_j(id(w)), where a_j hashes
+  the raw color pair once per refine;
+- k=2: S_j(u,v) = sum_w h_j(id(u,w)) * s_j(id(w,v)), one float64 BLAS
+  product H_j @ S'_j;
+- k=3: S_j(u,v,w) = sum_x h_j(id(x,v,w)) * s_j(id(u,x,w)) * t_j(id(u,v,x)),
+  an einsum over x in wrapping uint64.
+
+At k=1 and k=2 every sum is an exact integer in float64 while n * 2^40 <
+2^53, that is for n <= 8192; a larger order raises ``ResourceLimitError``.
+At k=3 the sums are exact for n <= 16 and wrap modulo 2^64 above.
+
+Signatures are built only from raw pair colors and previous ids, so the
+id assignment commutes with vertex relabeling: the class order is
+canonical, and ``trace_digest`` is an isomorphism invariant. While the
+sums are exact, two distinct multisets get equal hashes in all P fields
+with probability at most (d/2^20)^3 (Schwartz-Zippel; d = 2 at k=1 and
+k=2, so about 2^-57, and d = 3 at k=3), so "stable" means stable up to
+hash collisions. A collision can only merge two classes that exact
+refinement would split, which keeps every use of a coloring sound: a
+stable class still contains every orbit, so lower <= orbits <= upper
+holds; unequal traces still prove non-isomorphism; and every witness is
+verified entrywise anyway.
 
 One loop serves every dimension k; a dimension only supplies its atoms
-(the first round's rows) and how a cell's row sees the other cells. Each
-later round's rows lead with the old id, so the class count rises strictly
-until it stops changing, and a refine ends within n^k rounds. Atoms rank
-the diagonal cells (v, ..., v) last, so their ids form the top block of
-every round's ids, and the vertex classes are those ids shifted down to 0.
+(the first round's rows) and how a cell's row sums over the other cells.
+Each later round's rows lead with the old id, so classes only split and
+the class count rises strictly until it stops changing, and a refine ends
+within n^k rounds. Atoms rank the diagonal cells (v, ..., v) last, so
+their ids form the top block of every round's ids, and the vertex classes
+are those ids shifted down to 0.
 
 A run also hashes its *trace* into ``trace_digest``: k, n and the color
-count, then the class count, sorted signature rows and multiplicities of
-the atoms and of every round that splits. Two refinement runs with equal
-digests have ordinal-for-ordinal comparable colorings, which is what lets
-the engine compare colorings across different individualizations of the
-same graph.
+count, then the class count, sorted rows and multiplicities of the atoms
+and of every round that splits. Two refinement runs with equal digests
+have id-for-id comparable colorings, which is what lets the engine compare
+colorings across different individualizations of the same graph.
 """
 
 from __future__ import annotations
@@ -30,8 +52,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .graphs import EdgeColoredGraph
 from .partitions import OrderedPartition
+
+# Hash fields per round, bits per field, and the largest order whose k=1
+# and k=2 sums (n terms below 2^40 each) stay exact in float64.
+_FIELDS = 3
+_BITS = 20
+_EXACT_ORDER = 1 << (53 - 2 * _BITS)
 
 
 @dataclass(frozen=True)
@@ -51,7 +80,8 @@ class RefinementConfig:
 
 @dataclass(frozen=True)
 class StableColoring:
-    """A refinement fixed point: one further round produces no split."""
+    """A refinement fixed point: one further round produces no split (up to
+    hash collisions, see the module docstring)."""
 
     vertex_partition: OrderedPartition
     rounds_used: int
@@ -68,19 +98,83 @@ def _pack(*ints):
 def _unique_rows(rows):
     """Dense ids of distinct rows, in lexicographic row order.
 
-    Rows must be non-negative int64; the big-endian byte view makes memcmp
-    order coincide with numeric lexicographic order, which is much faster
-    than a structured-dtype sort. Returns (unique row bytes, ids, count).
+    Rows are int64 with non-negative entries, or uint64; the big-endian
+    unsigned byte view makes memcmp order coincide with numeric
+    lexicographic order, which is much faster than a structured-dtype sort.
+    Returns (unique row bytes, ids, count).
     """
-    packed = np.ascontiguousarray(rows).astype(">i8").view(f"V{rows.shape[1] * 8}")
+    packed = np.ascontiguousarray(rows).astype(">u8").view(f"V{rows.shape[1] * 8}")
     uniq, inverse = np.unique(packed.ravel(), return_inverse=True)
     return uniq.tobytes(), inverse.reshape(-1).astype(np.int64), int(uniq.size)
 
 
+def _mix(x, tmp):
+    """splitmix64's finalizer, in place on the uint64 array x (wrapping
+    arithmetic); tmp is scratch of x's shape."""
+    x += np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 1)):
+        np.right_shift(x, np.uint64(shift), out=tmp)
+        x ^= tmp
+        x *= np.uint64(factor)
+    return x
+
+
+def _fields(x, salt):
+    """P independent 20-bit hashes of each value of x, as a (P, *x.shape)
+    float64 array: disjoint bit ranges of one salted mix of x.
+
+    x is a uint64 array of already mixed values, overwritten here. Values
+    are mixed first and salted after: salting before the mix would make two
+    salted hashes shifts of one another (h(a) = s(a ^ s1 ^ s2)).
+    """
+    x ^= np.uint64(salt)
+    tmp = np.empty_like(x)
+    _mix(x, tmp)
+    out = np.empty((_FIELDS,) + x.shape)
+    for j, field in enumerate(out):
+        np.right_shift(x, np.uint64(64 - _BITS * (j + 1)), out=tmp)
+        tmp &= np.uint64((1 << _BITS) - 1)
+        field[...] = tmp
+    return out
+
+
+# Salts of the id hashes h, s and t and of the k=1 color-pair hash a:
+# fractional digits of pi.
+_H, _S, _T, _A = 0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89
+
+# The id hashes are a pure function of the id, so one table serves every
+# refine: it grows on demand (doubling) up to this many ids; larger rounds
+# (n^k cells with k >= 2 and n in the hundreds) hash their ids afresh.
+_MEMO_IDS = 1 << 16
+_memo = np.empty((3 * _FIELDS, 0))
+
+
+def _id_hashes(count):
+    """(3P, >= count) float64 table: h_j, s_j and t_j of every id < count."""
+    global _memo
+    table = _memo  # read once: another thread may replace it
+    if table.shape[1] < count:
+        ids = np.arange(max(count, 2 * table.shape[1]), dtype=np.uint64)
+        mixed = _mix(ids, np.empty_like(ids))
+        table = np.concatenate([_fields(mixed.copy(), salt) for salt in (_H, _S, _T)])
+        if table.shape[1] <= _MEMO_IDS:
+            _memo = table
+    return table
+
+
 def refine(g, cfg=None):
-    """Stable coloring of g under the configured stabilization dimension."""
+    """Stable coloring of g under the configured stabilization dimension.
+
+    Raises ResourceLimitError at k=1 or k=2 when g has more than 8192
+    vertices, where the float64 round sums stop being exact.
+    """
     cfg = cfg or RefinementConfig()
-    rows, neighbours = _DIMENSIONS[cfg.k](g)
+    if cfg.k < 3 and g.n > _EXACT_ORDER:
+        raise ResourceLimitError(
+            f"order {g.n} exceeds {_EXACT_ORDER}, the largest whose k={cfg.k} "
+            "refinement sums are exact in float64"
+        )
+    rows, sums = _DIMENSIONS[cfg.k](g)
     trace = hashlib.blake2b(b"T" + _pack(cfg.k, g.n, g.color_count), digest_size=16)
     # The atoms are round 0; rounds_used counts the rounds after them.
     class_count, rounds = 0, -1
@@ -94,9 +188,7 @@ def refine(g, cfg=None):
             trace.update(chunk)
         if count == ids.size:
             break
-        enc = neighbours(ids, np.int64(count))
-        enc.sort(axis=1)
-        rows = np.concatenate((ids[:, None], enc), axis=1)
+        rows = np.column_stack((ids.astype(np.uint64), sums(ids, _id_hashes(count))))
     # Cell (v, ..., v) sits at index v * (1 + n + ... + n^(k-1)).
     diagonal = ids[:: sum(g.n**i for i in range(cfg.k))]
     return StableColoring(
@@ -108,16 +200,24 @@ def refine(g, cfg=None):
 
 def _setup_k1(g):
     n = g.n
-    # One int encodes the triple (color to w, color from w, ordinal of w),
-    # over color ranks so that the radix stays small.
-    palette, rank = np.unique(g.colors, return_inverse=True)
-    rank = rank.reshape(n, n).astype(np.int64)
-    base = (rank * palette.size + rank.T) * np.int64(n + 1)
+    colors = g.colors.view(np.uint64)
+    # a_j of the raw pair (color to w, color from w), hashed once per
+    # refine: mix(c(u,w)) ^ c(w,u) tells the pairs apart, _fields mixes it.
+    # Row blocks of about 2^16 cells keep the uint64 scratch small next to
+    # the float64 result.
+    pair = np.empty((_FIELDS, n, n))
+    step = max(1, (1 << 16) // n)
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        code = colors[block].copy()
+        _mix(code, np.empty_like(code))
+        code ^= colors[:, block].T
+        pair[:, block] = _fields(code, _A)
 
-    def neighbours(ords, scale):
-        return base + ords[None, :]
+    def sums(ids, table):
+        return np.matmul(pair, table[:_FIELDS, ids, None])[..., 0].T.astype(np.uint64)
 
-    return g.colors.diagonal()[:, None], neighbours
+    return g.colors.diagonal()[:, None], sums
 
 
 def _setup_k2(g):
@@ -136,12 +236,12 @@ def _setup_k2(g):
         axis=-1,
     ).reshape(n * n, 5)
 
-    def neighbours(pair, scale):
-        mat = pair.reshape(n, n)
-        # enc[u, v, w] = (color of (u, w), color of (w, v)) packed into one int.
-        return (mat[:, None, :] * scale + mat.T[None, :, :]).reshape(n * n, n)
+    def sums(ids, table):
+        # H_j[u, w] = h_j(id(u, w)) and S'_j[w, v] = s_j(id(w, v)).
+        h, s = table[: 2 * _FIELDS, ids].reshape(2, _FIELDS, n, n)
+        return np.matmul(h, s).reshape(_FIELDS, n * n).T.astype(np.uint64)
 
-    return atoms, neighbours
+    return atoms, sums
 
 
 def _setup_k3(g):
@@ -162,20 +262,17 @@ def _setup_k3(g):
         parts.append(np.broadcast_to(colors[d, d], (n, n, n)).astype(np.int64))
     atoms = np.stack(parts, axis=-1).reshape(n**3, len(parts))
 
-    def neighbours(trip, scale):
-        cube = trip.reshape(n, n, n)
+    def sums(ids, table):
         # Substitute x into each of the three positions of (u, v, w).
-        c0 = np.moveaxis(cube, 0, 2)[None, :, :, :]
-        c1 = np.moveaxis(cube, 1, 2)[:, None, :, :]
-        c2 = cube[:, :, None, :]
-        return ((c0 * scale + c1) * scale + c2).reshape(n**3, n)
+        h, s, t = table[:, ids].astype(np.uint64).reshape(3, _FIELDS, n, n, n)
+        return np.einsum("jxvw,juxw,juvx->juvw", h, s, t).reshape(_FIELDS, n**3).T
 
-    return atoms, neighbours
+    return atoms, sums
 
 
 # Each setup returns the atom rows (one per cell of V^k, the diagonal cells
-# ranking last) and a neighbours(ids, scale) giving each cell's n packed
-# views of other cells (scale exceeds every id).
+# ranking last) and a sums(ids, table) giving each cell's P hashed multiset
+# sums as uint64 columns, from the id hash table of _id_hashes.
 _DIMENSIONS = {1: _setup_k1, 2: _setup_k2, 3: _setup_k3}
 
 

@@ -235,7 +235,7 @@ def test_verify_lower_bound_exit_code(tmp_path):
 def test_iso_inconclusive_exit_code(tmp_path):
     from util import rook_graph_4x4, shrikhande_graph
 
-    # exhausting this pair's descent at k=1 takes 1474 nodes
+    # exhausting this pair's descent at k=1 takes 226 nodes
     a = write_graph(tmp_path, "rook.cdg", rook_graph_4x4())
     b = write_graph(tmp_path, "shrik.cdg", shrikhande_graph())
     proc = run_cli("iso", a, b, "--k", "1", "--budget", "100", "--json")
@@ -373,6 +373,21 @@ def test_order_beyond_memory_is_a_resource_limit(tmp_path, monkeypatch, capsys, 
     path = tmp_path / name
     path.write_text(text)
     assert cli_module.main(["orbits", str(path), "--json"]) == 6
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "resource limit" in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("command", ["refine", "orbits"])
+def test_order_above_exact_refinement_is_a_resource_limit(tmp_path, monkeypatch, capsys, command):
+    import importlib
+
+    from autorbits import cli as cli_module
+
+    monkeypatch.setattr(importlib.import_module("autorbits.refine"), "_EXACT_ORDER", 4)
+    path = tmp_path / "empty5.dimacs"
+    path.write_text("p edge 5 0\n")
+    assert cli_module.main([command, str(path), "--k", "1", "--json"]) == 6
     out = capsys.readouterr()
     assert out.out == ""
     assert "resource limit" in out.err and "Traceback" not in out.err

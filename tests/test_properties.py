@@ -14,10 +14,11 @@ from autorbits import (
     RefinementConfig,
     apply_permutation,
     brute_iso,
+    individualize_sequence,
     iso_test,
     refine,
 )
-from util import graph_from_bitmask
+from util import exact_wl, graph_from_bitmask
 
 
 @st.composite
@@ -84,3 +85,31 @@ def test_gapped_palettes_are_refined_and_told_apart(case):
     other = iso_test(g, raised, cfg)
     assert other.verdict == NON_ISOMORPHIC and other.witness is None
     assert brute_iso(g, raised) is None
+
+
+# Ids up to the input bound, far apart, so hashing sees no dense palette.
+WIDE_IDS = (0, 1, 5, 2**31, 2**62 - 1)
+
+
+@st.composite
+def individualized_digraphs(draw):
+    k = draw(st.sampled_from((1, 2, 3)))
+    n = draw(st.integers(1, 9))
+    palette = sorted(draw(st.sets(st.sampled_from(WIDE_IDS), min_size=1)))
+    cells = draw(st.lists(st.sampled_from(palette), min_size=n * n, max_size=n * n))
+    g = EdgeColoredGraph(np.array(cells, dtype=np.int64).reshape(n, n))
+    order = draw(st.permutations(range(n)))
+    g = individualize_sequence(g, order[: draw(st.integers(0, min(n, 2)))])
+    perm = Permutation(np.array(draw(st.permutations(range(n))), dtype=np.int64))
+    return g, perm, k
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(individualized_digraphs())
+def test_hashed_refinement_matches_the_exact_oracle(case):
+    g, perm, k = case
+    cfg = RefinementConfig(k=k)
+    coloring = refine(g, cfg)
+    classes = {frozenset(members) for members in coloring.vertex_partition.classes}
+    assert (classes, coloring.rounds_used) == exact_wl(g, k)
+    assert refine(apply_permutation(g, perm), cfg).trace_digest == coloring.trace_digest

@@ -1,9 +1,13 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from autorbits import (
+    EdgeColoredGraph,
     OrderedPartition,
     RefinementConfig,
+    ResourceLimitError,
     apply_permutation,
     brute_orbits,
     complete_graph,
@@ -186,3 +190,24 @@ def test_never_coarser_than_diagonal():
 def test_config_validation():
     with pytest.raises(ValueError):
         RefinementConfig(k=4)
+
+
+def test_pair_hashes_are_salted_after_mixing():
+    # Vertices 0 and 2 share an atom and differ only in their pair to
+    # vertex 1, so one round splits them and the next is stable. Salting
+    # ids before mixing made two hashes collide here and took two rounds.
+    coloring = refine(EdgeColoredGraph([[6, 1, 1], [1, 5, 0], [1, 0, 6]]), K2)
+    assert coloring.rounds_used == 1
+    assert coloring.is_discrete()
+
+
+def test_order_above_the_exact_bound_is_a_resource_limit(monkeypatch):
+    module = importlib.import_module("autorbits.refine")
+    assert module._EXACT_ORDER == 8192
+    monkeypatch.setattr(module, "_EXACT_ORDER", 3)
+    assert refine(cycle_graph(3), K2).rounds_used == 0
+    for cfg in (K1, K2):
+        with pytest.raises(ResourceLimitError, match="exact"):
+            refine(cycle_graph(4), cfg)
+    # k=3 sums wrap in uint64 and have no bound.
+    assert refine(cycle_graph(4), K3).vertex_partition.classes == ((0, 1, 2, 3),)

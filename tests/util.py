@@ -1,5 +1,6 @@
 """Shared helpers for randomized tests. Everything is seeded and deterministic."""
 
+from itertools import product
 
 from autorbits import EdgeColoredGraph, Permutation, from_undirected_edges
 
@@ -68,3 +69,42 @@ def all_set_partitions(items):
         for i in range(len(sub)):
             yield sub[:i] + [[head] + sub[i]] + sub[i + 1:]
         yield [[head]] + sub
+
+
+def exact_wl(g, k):
+    """Sort-based k-dimensional refinement, an exact oracle for ``refine``.
+
+    Cells of V^k start from their atomic type (the equality pattern and
+    the colors among their entries) and are recolored by their old color
+    and the sorted multiset, over every vertex x, of the colors of the
+    cells with x substituted into each position (at k=1, of the raw pair
+    colors to and from x with x's color). Returns the vertex classes as a
+    set of frozensets and the number of rounds after the atoms that split.
+    """
+    n, c = g.n, g.colors.tolist()
+    cells = list(product(range(n), repeat=k))
+    color = {
+        cell: (
+            tuple(cell[a] == cell[b] for a in range(k) for b in range(a + 1, k)),
+            tuple(c[cell[a]][cell[b]] for a in range(k) for b in range(k)),
+        )
+        for cell in cells
+    }
+
+    def seen(cell, x):
+        if k == 1:
+            return c[cell[0]][x], c[x][cell[0]], color[(x,)]
+        return tuple(color[cell[:i] + (x,) + cell[i + 1:]] for i in range(k))
+
+    rounds, count = -1, 0
+    while True:
+        ranks = {sig: i for i, sig in enumerate(sorted(set(color.values())))}
+        color = {cell: ranks[sig] for cell, sig in color.items()}
+        if len(ranks) == count:
+            break
+        rounds, count = rounds + 1, len(ranks)
+        color = {cell: (color[cell], tuple(sorted(seen(cell, x) for x in range(n)))) for cell in cells}
+    classes = {}
+    for v in range(n):
+        classes.setdefault(color[(v,) * k], set()).add(v)
+    return {frozenset(members) for members in classes.values()}, rounds
