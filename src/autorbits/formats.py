@@ -9,6 +9,7 @@ the loop/edge/non-edge coloring.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ from .errors import ParseError, ResourceLimitError
 from .graphs import COLOR_LIMIT, EdgeColoredGraph, from_adjacency
 
 _G6_HEADER = ">>graph6<<"
+# A graph6 line is all printable characters 63..126 ('?' to '~').
+_G6_LINE = re.compile(r"[?-~]*")
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,7 @@ def sniff_format(payload):
             return "ws"
         if token in ("p", "c", "e"):
             return "dimacs"
-        if line.startswith(_G6_HEADER) or all(63 <= ord(ch) <= 126 for ch in line):
+        if line.startswith(_G6_HEADER) or _G6_LINE.fullmatch(line):
             return "graph6"
         break
     raise ParseError("cannot determine input format; use an explicit format override")

@@ -39,9 +39,12 @@ are those ids shifted down to 0.
 
 A run also hashes its *trace* into ``trace_digest``: k, n and the color
 count, then the class count, sorted rows and multiplicities of the atoms
-and of every round that splits. Two refinement runs with equal digests
-have id-for-id comparable colorings, which is what lets the engine compare
-colorings across different individualizations of the same graph.
+and of every round that splits, and the sorted rows of the stable round
+that does not split (they pin what each class sees, such as the degree at
+k=1; a discrete coloring ends before that round). Two refinement runs with
+equal digests have id-for-id comparable colorings, which is what lets the
+engine compare colorings across different individualizations of the same
+graph.
 """
 
 from __future__ import annotations
@@ -181,7 +184,9 @@ def refine(g, cfg=None):
     while True:
         row_bytes, ids, count = _unique_rows(rows)
         if count == class_count:
-            # No split: the ids are the previous round's.
+            # No split: the ids, so their count and multiplicities, are the
+            # previous round's; only the rows are new.
+            trace.update(row_bytes)
             break
         class_count, rounds = count, rounds + 1
         for chunk in (_pack(count), row_bytes, np.bincount(ids).tobytes()):

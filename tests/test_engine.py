@@ -128,6 +128,37 @@ def test_stored_stage_equals_a_fresh_refine():
     assert stage.coloring.trace_digest == fresh.trace_digest
 
 
+def _refines_by_k(monkeypatch):
+    calls = []
+    real_refine = engine.refine
+
+    def spy(g, cfg=None):
+        calls.append(cfg.k)
+        return real_refine(g, cfg)
+
+    monkeypatch.setattr(engine, "refine", spy)
+    return calls
+
+
+def test_one_wl_discrete_stages_skip_the_k2_refine(monkeypatch):
+    rng = np.random.default_rng(80)
+    g = random_simple_graph(rng, 80)
+    assert refine(g, K1).is_discrete()
+    calls = _refines_by_k(monkeypatch)
+    system = compute_orbits(g, K2)
+    assert calls == [1]
+    assert system.status == CERTIFIED and system.partition.is_discrete()
+    assert system.stats.refine_calls == 1
+
+
+def test_stages_that_one_wl_leaves_open_get_the_k2_refine(monkeypatch):
+    g = cycle_graph(64)
+    calls = _refines_by_k(monkeypatch)
+    stage = Run(g, K2).stage(())
+    assert calls == [1, 2]
+    assert stage.coloring.trace_digest == refine(g, K2).trace_digest
+
+
 @pytest.mark.parametrize("g", [petersen_graph(), complete_graph(8)], ids=["petersen", "k8"])
 def test_bounded_stage_store_gives_the_same_orbits(g, monkeypatch):
     default = compute_orbits(g, K2)
@@ -476,8 +507,27 @@ def test_iso_decides_small_isomorphism_classes(cfg):
                     assert result.verdict == ISOMORPHIC, (n, i, j)
                     assert apply_permutation(g, result.witness) == h
     # The exact counts pin which six-vertex pairs share a base trace. K6 and
-    # the empty graph differ in color_count, so their traces differ.
-    assert pairs == {1: 1370, 2: 1312}[cfg.k]
+    # the empty graph differ in color_count, so their traces differ. The
+    # trace hashes the stable round too, which at k=1 pins what each class
+    # sees (the degree sequence, say), so fewer k=1 pairs share a trace.
+    assert pairs == {1: 1320, 2: 1312}[cfg.k]
+
+
+def test_stable_round_tells_apart_equal_color_count_regular_graphs():
+    # 3K2, C6 and K3,3: regular on six vertices with one palette, so k=1
+    # never splits them; only the hashed stable round sees the degrees.
+    graphs = [
+        from_undirected_edges(6, [(0, 1), (2, 3), (4, 5)]),
+        cycle_graph(6),
+        from_undirected_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    ]
+    assert len({refine(g, K1).trace_digest for g in graphs}) == 3
+    for g in graphs:
+        for h in graphs:
+            if g is not h:
+                result = iso_test(g, h, K1)
+                assert result.verdict == NON_ISOMORPHIC
+                assert result.stats.verify_tree_nodes == 2
 
 
 def test_iso_relabeled_long_cycle_is_cheap():

@@ -130,8 +130,20 @@ def test_sniffing():
     assert sniff_format(b"ws 2 3\n1 2 4 5\n") == "ws"
     assert sniff_format(b"c hi\np edge 2 1\ne 1 2\n") == "dimacs"
     assert sniff_format(b"Dhc\n") == "graph6"
-    with pytest.raises(ParseError):
-        sniff_format(b"\x00\x01binary")
+    assert sniff_format(b">>graph6<<Dhc\n") == "graph6"
+    assert sniff_format(b"\n  \n\nDhc\n") == "graph6"
+    assert sniff_format(b"Dhc\r\n") == "graph6"
+    assert sniff_format(b"cdg 2 2\r\n0 1\r\n1 0\r\n") == "cdg"
+    long_line = b"~?A}" + b"?" * 5000
+    assert sniff_format(long_line + b"\n") == "graph6"
+    for bad in (
+        b"\x00\x01binary",
+        long_line + b"\x7f\n",  # one byte past '~' at the end of the line
+        long_line + b"\xc3\xa9\n",  # non-ASCII
+        b"Dh c\n",
+    ):
+        with pytest.raises(ParseError):
+            sniff_format(bad)
 
 
 def test_ws_parsing():

@@ -1,7 +1,11 @@
-"""Property tests of refine and iso_test on random small graphs, against
-brute force."""
+"""Property tests of refine, iso_test and compute_orbits on random small
+graphs, against brute force and against the engine with its k=1 gate
+forced."""
+
+from dataclasses import asdict
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +18,18 @@ from autorbits import (
     RefinementConfig,
     apply_permutation,
     brute_iso,
+    compute_orbits,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
     individualize_sequence,
     iso_test,
+    path_graph,
+    petersen_graph,
     refine,
 )
+from autorbits import engine
 from util import exact_wl, graph_from_bitmask
 
 
@@ -113,3 +125,71 @@ def test_hashed_refinement_matches_the_exact_oracle(case):
     classes = {frozenset(members) for members in coloring.vertex_partition.classes}
     assert (classes, coloring.rounds_used) == exact_wl(g, k)
     assert refine(apply_permutation(g, perm), cfg).trace_digest == coloring.trace_digest
+
+
+@st.composite
+def gate_cases(draw):
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(("simple", "colored", "cycle", "complete", "empty", "path", "union")))
+    if kind == "simple":
+        g = graph_from_bitmask(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    elif kind == "colored":
+        cells = draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+        g = EdgeColoredGraph(np.array(cells, dtype=np.int64).reshape(n, n))
+    elif kind == "union" and n >= 6:
+        a = draw(st.integers(3, n - 3))
+        g = disjoint_union(cycle_graph(a), cycle_graph(n - a))
+    elif kind == "cycle" and n == 10:
+        g = petersen_graph()
+    elif kind == "cycle" and n >= 3:
+        g = cycle_graph(n)
+    else:
+        g = {"complete": complete_graph, "empty": empty_graph}.get(kind, path_graph)(n)
+    # A second graph one cell pair away from g: often non-isomorphic, and
+    # often hard to tell apart by refinement alone.
+    mat = g.colors.copy()
+    i, j, a, b = (draw(st.integers(0, n - 1)) for _ in range(4))
+    mat[i, j] = mat[j, i] = g.colors[a, b]
+    perm = Permutation(np.array(draw(st.permutations(range(n))), dtype=np.int64))
+    k = draw(st.sampled_from((2, 3)))
+    return g, EdgeColoredGraph(mat), perm, RefinementConfig(k=k)
+
+
+def _under_gate(gate, fn, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "ONE_WL_FIRST", gate)
+        return fn(*args)
+
+
+def _orbit_answer(system):
+    return (
+        system.partition.classes,
+        [w.as_list() for w in system.generators],
+        system.status,
+        asdict(system.stats),
+    )
+
+
+def _iso_answer(result):
+    witness = None if result.witness is None else result.witness.as_list()
+    return result.verdict, witness, asdict(result.stats)
+
+
+ALWAYS, NEVER = 1, 1 << 62
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(gate_cases())
+def test_one_wl_first_changes_no_answer(case):
+    g, other, perm, cfg = case
+    on = _under_gate(ALWAYS, compute_orbits, g, cfg)
+    assert _orbit_answer(on) == _orbit_answer(_under_gate(NEVER, compute_orbits, g, cfg))
+
+    for second in (g, other):
+        h = apply_permutation(second, perm)
+        on = _under_gate(ALWAYS, iso_test, g, h, cfg)
+        assert _iso_answer(on) == _iso_answer(_under_gate(NEVER, iso_test, g, h, cfg))
+        if g.n <= 7:
+            assert (on.verdict == ISOMORPHIC) == (brute_iso(g, h) is not None)
+        if on.verdict == ISOMORPHIC:
+            assert apply_permutation(g, on.witness) == h
