@@ -59,8 +59,8 @@ from .graphs import (
     path_graph,
     petersen_graph,
 )
-from .oracle import brute_aut, brute_iso, brute_orbits, closure_orbits
-from .partitions import OrderedPartition, partition_join
+from .oracle import brute_aut, brute_iso, brute_orbits
+from .partitions import OrderedPartition, closure_orbits, partition_join
 from .refine import RefinementConfig, StableColoring, individualize_sequence, refine
 
 __version__ = "0.1.0"

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .graphs import int_array
+
 
 @dataclass(frozen=True)
 class WindowSet:
@@ -24,8 +26,8 @@ class WindowSet:
             raise ValueError("window width must be at least 1")
         normalized = set()
         for top, bottom in elements:
-            top = tuple(int(x) for x in top)
-            bottom = tuple(int(x) for x in bottom)
+            top = tuple(int_array(top).tolist())
+            bottom = tuple(int_array(bottom).tolist())
             if len(top) != k or len(bottom) != k:
                 raise ValueError(f"element width differs from k={k}")
             for row in (top, bottom):

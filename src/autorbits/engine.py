@@ -21,8 +21,7 @@ import numpy as np
 from .errors import InternalInvariantError, NotDiscreteError
 from .graphs import Permutation, apply_permutation, is_automorphism
 from .graphs import disjoint_union  # noqa: F401  (the benchmark tracer wraps engine.disjoint_union)
-from .oracle import closure_orbits
-from .partitions import OrderedPartition, partition_join
+from .partitions import OrderedPartition, closure_orbits, partition_join
 from .refine import RefinementConfig, individualize_sequence, refine
 
 # Bound on one run's stage store, counted in stored vertex entries
@@ -136,10 +135,6 @@ class Run:
                 return coloring
         return refine(h, self.cfg)
 
-    def form(self, stage):
-        self.stats.canonical_form_calls += 1
-        return canonical_form_discrete(stage)
-
 
 def _candidate_order(coloring, history, exclude=()):
     """Vertices in non-singleton classes, least often fixed first; ties go
@@ -186,16 +181,15 @@ def canonical_form_discrete(stage):
     get equal forms exactly when the class-order bijection between them is
     a verified automorphism waiting to be extracted.
     """
-    part = stage.coloring.vertex_partition
-    if not part.is_discrete():
+    if not stage.coloring.is_discrete():
         raise NotDiscreteError("canonical form requires a discrete coloring")
     order = _class_order(stage)
     return stage.coloring.trace_digest + stage.base.colors[np.ix_(order, order)].tobytes()
 
 
 def _class_order(stage):
-    part = stage.coloring.vertex_partition
-    return np.fromiter((c[0] for c in part.classes), dtype=np.int64, count=part.n)
+    """Vertices of a discrete stage by class id: its class map's inverse."""
+    return np.argsort(stage.coloring.vertex_partition.class_of)
 
 
 def extract_isomorphism(s1, s2):
@@ -214,11 +208,8 @@ def extract_isomorphism(s1, s2):
         or s1.coloring.trace_digest != s2.coloring.trace_digest
     ):
         return None
-    o1 = _class_order(s1)
-    o2 = _class_order(s2)
-    image = np.empty(s1.base.n, dtype=np.int64)
-    image[o1] = o2
-    perm = Permutation(image)
+    # v, of class c in s1, goes to s2's vertex of class c.
+    perm = Permutation(_class_order(s2)[s1.coloring.vertex_partition.class_of])
     if any(perm(a) != b for a, b in zip(s1.fixes, s2.fixes)):
         return None
     if s1.base is s2.base:
@@ -259,7 +250,8 @@ def stage_orbits(run, stage):
                 # Regular stages never produce this; tolerate it soundly by
                 # leaving y unmerged.
                 continue
-            form = run.form(extension)
+            run.stats.canonical_form_calls += 1
+            form = canonical_form_discrete(extension)
             anchor = groups.get(form)
             if anchor is None:
                 groups[form] = extension
@@ -321,8 +313,8 @@ def _descend(run1, run2, s1, s2, depth_budget, node_budget):
     of run2 (verify_merge passes one run twice). Each level fixes the first
     vertex a of s1's first non-singleton class and tries every b of the
     same class of s2, depth first, pruning on unequal traces; a discrete
-    pair with equal forms yields the verified class-order bijection. Each
-    visited pair spends two of node_budget.
+    pair yields its class-order bijection once extract_isomorphism verifies
+    it. Each visited pair spends two of node_budget.
 
     Returns (witness, cut): witness is None when no pair yielded one, and
     cut tells whether the node budget stopped the search before it was
@@ -343,10 +335,9 @@ def _descend(run1, run2, s1, s2, depth_budget, node_budget):
         expanded = False
         if s1.coloring.trace_digest == s2.coloring.trace_digest:
             if s1.coloring.is_discrete():
-                if run1.form(s1) == run2.form(s2):
-                    witness = extract_isomorphism(s1, s2)
-                    if witness is not None:
-                        return witness, False
+                witness = extract_isomorphism(s1, s2)
+                if witness is not None:
+                    return witness, False
             elif level >= depth_budget:
                 stats.depth_budget_hits += 1
             else:
@@ -457,7 +448,7 @@ def iso_test(g1, g2, cfg=None, budget=None):
     The descent starts from the two base stages and, level by level, fixes
     the first vertex a of g1's first non-singleton class and tries every b
     of the same class of g2, pruning pairs with unequal refinement traces.
-    A discrete pair with equal forms yields a witness, verified entrywise,
+    A discrete pair yields its class-order bijection, verified entrywise,
     so false positives are impossible. A search exhausted without a
     node-budget cut proves non-isomorphism: an isomorphism phi maps a to
     the tried b = phi(a) and preserves traces at every level, and at a

@@ -17,13 +17,28 @@ from .errors import SizeMismatchError
 COLOR_LIMIT = 1 << 62
 
 
+def int_array(values):
+    """values as a new int64 array; ValueError unless every entry is an
+    integer or a bool (numpy would truncate floats and parse strings)."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "biu":
+        raise ValueError("entries must be integers in the int64 range")
+    return arr.astype(np.int64)
+
+
+def covers_once(values, n):
+    """True iff n >= 1 and the int64 vector values holds each of 0 .. n-1 once."""
+    return bool(values.size == n > 0 and values.min() >= 0 and values.max() < n
+                and np.bincount(values, minlength=n).all())
+
+
 class EdgeColoredGraph:
     """Immutable dense color matrix over ordered vertex pairs."""
 
     __slots__ = ("colors", "n", "color_count")
 
     def __init__(self, colors):
-        mat = np.array(colors, dtype=np.int64)
+        mat = int_array(colors)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("color matrix must be square")
         if mat.size == 0:
@@ -70,13 +85,11 @@ class Permutation:
     __slots__ = ("image",)
 
     def __init__(self, image):
-        img = np.asarray(image, dtype=np.int64)
+        img = int_array(image)
         if img.ndim != 1:
             raise ValueError("permutation image must be one-dimensional")
-        n = img.size
-        if n == 0 or not np.array_equal(np.sort(img), np.arange(n)):
+        if not covers_once(img, img.size):
             raise ValueError("image is not a bijection on [0, n)")
-        img = img.copy()
         img.setflags(write=False)
         self.image = img
 
@@ -152,7 +165,7 @@ def from_adjacency(adj):
 def from_undirected_edges(n, edges):
     """``from_adjacency`` of an edge list on vertices [0, n)."""
     adj = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
+    for u, v in int_array(list(edges)).tolist():
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):

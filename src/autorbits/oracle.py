@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SizeLimitError, SizeMismatchError
 from .graphs import Permutation
-from .partitions import join_pairs
+from .partitions import closure_orbits
 
 _CHUNK = 40320
 
@@ -78,14 +78,3 @@ def brute_iso(g1, g2, max_n=8):
             return Permutation(pool[hits[0]])
     return None
 
-
-def closure_orbits(n, gens):
-    """Orbit partition of the group generated by gens.
-
-    Computed by transitively closing generator images on vertices; the group
-    itself is never enumerated. Class ids follow smallest members.
-    """
-    gens = list(gens)
-    if any(p.n != n for p in gens):
-        raise SizeMismatchError("generator size does not match n")
-    return join_pairs(n, ((v, w) for p in gens for v, w in enumerate(p.image.tolist())))

@@ -1,10 +1,18 @@
-"""Ordered vertex partitions and the lattice join used to accumulate orbits."""
+"""Ordered vertex partitions, their lattice join, and generators' orbits."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import InvalidPartitionError, SizeMismatchError
+from .graphs import covers_once, int_array
+
+
+def _int_array(values):
+    try:
+        return int_array(values)
+    except ValueError as exc:
+        raise InvalidPartitionError(str(exc)) from None
 
 
 class OrderedPartition:
@@ -18,36 +26,28 @@ class OrderedPartition:
     __slots__ = ("n", "class_of", "classes")
 
     def __init__(self, class_of):
-        arr = np.asarray(class_of, dtype=np.int64)
+        arr = _int_array(class_of)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidPartitionError("class map must be a non-empty vector")
-        k = int(arr.max()) + 1
-        if arr.min() < 0 or not np.array_equal(np.unique(arr), np.arange(k)):
+        if arr.min() < 0 or arr.max() >= arr.size or not np.bincount(arr).all():
             raise InvalidPartitionError("class ids must be dense in [0, class_count)")
-        arr = arr.copy()
         arr.setflags(write=False)
         self.n = int(arr.size)
         self.class_of = arr
-        members = [[] for _ in range(k)]
-        for v, c in enumerate(arr):
+        members = [[] for _ in range(int(arr.max()) + 1)]
+        for v, c in enumerate(arr.tolist()):
             members[c].append(v)
-        self.classes = tuple(tuple(m) for m in members)
+        self.classes = tuple(map(tuple, members))
 
     @classmethod
     def from_classes(cls, classes, n=None):
-        flat = [v for c in classes for v in c]
-        if n is None:
-            n = len(flat)
-        class_of = np.full(n, -1, dtype=np.int64)
-        for cid, members in enumerate(classes):
-            if not members:
-                raise InvalidPartitionError("empty class")
-            for v in members:
-                if not (0 <= v < n) or class_of[v] != -1:
-                    raise InvalidPartitionError("classes must disjointly cover [0, n)")
-                class_of[v] = cid
-        if (class_of == -1).any():
-            raise InvalidPartitionError("classes must cover every vertex")
+        sizes = [len(c) for c in classes]
+        members = _int_array([v for c in classes for v in c])
+        n = members.size if n is None else n
+        if 0 in sizes or not covers_once(members, n):
+            raise InvalidPartitionError("classes must disjointly cover [0, n)")
+        class_of = np.empty(n, dtype=np.int64)
+        class_of[members] = np.repeat(np.arange(len(sizes)), sizes)
         return cls(class_of)
 
     @classmethod
@@ -69,17 +69,15 @@ class OrderedPartition:
         """True iff every class of self lies inside one class of other."""
         if self.n != other.n:
             raise SizeMismatchError("partition sizes differ")
-        for members in self.classes:
-            target = other.class_of[members[0]]
-            if any(other.class_of[v] != target for v in members[1:]):
-                return False
-        return True
+        # Some member's other-class for each own class; finer iff every
+        # member agrees with it.
+        target = np.empty(self.class_count, dtype=np.int64)
+        target[self.class_of] = other.class_of
+        return bool(np.array_equal(target[self.class_of], other.class_of))
 
     def same_blocks(self, other):
         """Equality as unordered set partitions, ignoring class-id order."""
-        if self.n != other.n:
-            raise SizeMismatchError("partition sizes differ")
-        return sorted(self.classes) == sorted(other.classes)
+        return self.is_finer_or_equal(other) and self.class_count == other.class_count
 
     def __eq__(self, other):
         if not isinstance(other, OrderedPartition):
@@ -127,11 +125,20 @@ def join_pairs(n, pairs):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    roots = {}
-    class_of = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        class_of[v] = roots[r]
-    return OrderedPartition(class_of)
+    # A root is its component's smallest member, so a class id is the
+    # number of roots below it.
+    roots = np.array([find(v) for v in range(n)], dtype=np.int64)
+    ids = np.cumsum(roots == np.arange(n)) - 1
+    return OrderedPartition(ids[roots])
+
+
+def closure_orbits(n, gens):
+    """Orbit partition of the group generated by gens.
+
+    Computed by transitively closing generator images on vertices; the group
+    itself is never enumerated. Class ids follow smallest members.
+    """
+    gens = list(gens)
+    if any(p.n != n for p in gens):
+        raise SizeMismatchError("generator size does not match n")
+    return join_pairs(n, ((v, w) for p in gens for v, w in enumerate(p.image.tolist())))

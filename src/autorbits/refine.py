@@ -29,8 +29,9 @@ stable class still contains every orbit, so lower <= orbits <= upper
 holds; unequal traces still prove non-isomorphism; and every witness is
 verified entrywise anyway.
 
-One loop serves every dimension k; a dimension only supplies its atoms
-(the first round's rows) and how a cell's row sums over the other cells.
+One loop serves every dimension k, and one rule builds every k's atoms
+(the first round's rows); a dimension only supplies its sums, how a
+cell's row sums over the other cells.
 Each later round's rows lead with the old id, so classes only split and
 the class count rises strictly until it stops changing, and a refine ends
 within n^k rounds. Atoms rank the diagonal cells (v, ..., v) last, so
@@ -50,6 +51,7 @@ graph.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -177,7 +179,7 @@ def refine(g, cfg=None):
             f"order {g.n} exceeds {_EXACT_ORDER}, the largest whose k={cfg.k} "
             "refinement sums are exact in float64"
         )
-    rows, sums = _DIMENSIONS[cfg.k](g)
+    rows, sums = _atoms(g, cfg.k), _DIMENSIONS[cfg.k](g)
     trace = hashlib.blake2b(b"T" + _pack(cfg.k, g.n, g.color_count), digest_size=16)
     # The atoms are round 0; rounds_used counts the rounds after them.
     class_count, rounds = 0, -1
@@ -203,6 +205,31 @@ def refine(g, cfg=None):
     )
 
 
+def _atoms(g, k):
+    """First-round rows of the n^k cells (x_1, ..., x_k) of V^k, in C order.
+
+    A cell's row is its atomic type: whether x_i = x_j for each position
+    pair i < j, the color c(x_i, x_j) for each ordered pair i != j, and the
+    vertex colors c(x_i, x_i). Only the diagonal cells (v, ..., v) have
+    every equality set, so they rank last.
+    """
+    n = g.n
+
+    def along(a, *axes):
+        # a's axes laid along the given axes of the cell array, as a view.
+        return a.reshape([n if i in axes else 1 for i in range(k)])
+
+    x = np.arange(n)
+    columns = [along(x, i) == along(x, j) for i, j in itertools.combinations(range(k), 2)]
+    columns += [along(g.colors if i < j else g.colors.T, i, j)
+                for i, j in itertools.permutations(range(k), 2)]
+    columns += [along(g.colors.diagonal(), i) for i in range(k)]
+    rows = np.empty((n,) * k + (len(columns),), dtype=np.int64)
+    for col, values in enumerate(columns):
+        rows[..., col] = values
+    return rows.reshape(n**k, -1)
+
+
 def _setup_k1(g):
     n = g.n
     colors = g.colors.view(np.uint64)
@@ -222,62 +249,29 @@ def _setup_k1(g):
     def sums(ids, table):
         return np.matmul(pair, table[:_FIELDS, ids, None])[..., 0].T.astype(np.uint64)
 
-    return g.colors.diagonal()[:, None], sums
+    return sums
 
 
 def _setup_k2(g):
-    n = g.n
-    colors = g.colors
-    diag = colors.diagonal()
-    # Atomic pair type: equality pattern plus the induced 2x2 color data.
-    atoms = np.stack(
-        (
-            np.eye(n, dtype=np.int64),
-            colors,
-            colors.T,
-            np.broadcast_to(diag[:, None], (n, n)),
-            np.broadcast_to(diag[None, :], (n, n)),
-        ),
-        axis=-1,
-    ).reshape(n * n, 5)
-
     def sums(ids, table):
         # H_j[u, w] = h_j(id(u, w)) and S'_j[w, v] = s_j(id(w, v)).
-        h, s = table[: 2 * _FIELDS, ids].reshape(2, _FIELDS, n, n)
-        return np.matmul(h, s).reshape(_FIELDS, n * n).T.astype(np.uint64)
+        h, s = table[: 2 * _FIELDS, ids].reshape(2, _FIELDS, g.n, g.n)
+        return np.matmul(h, s).reshape(_FIELDS, -1).T.astype(np.uint64)
 
-    return atoms, sums
+    return sums
 
 
 def _setup_k3(g):
-    n = g.n
-    colors = g.colors
-    idx = np.arange(n)
-    u = idx[:, None, None]
-    v = idx[None, :, None]
-    w = idx[None, None, :]
-    parts = [
-        np.broadcast_to(u == v, (n, n, n)).astype(np.int64),
-        np.broadcast_to(u == w, (n, n, n)).astype(np.int64),
-        np.broadcast_to(v == w, (n, n, n)).astype(np.int64),
-    ]
-    for a, b in ((u, v), (u, w), (v, u), (v, w), (w, u), (w, v)):
-        parts.append(np.broadcast_to(colors[a, b], (n, n, n)).astype(np.int64))
-    for d in (u, v, w):
-        parts.append(np.broadcast_to(colors[d, d], (n, n, n)).astype(np.int64))
-    atoms = np.stack(parts, axis=-1).reshape(n**3, len(parts))
-
     def sums(ids, table):
         # Substitute x into each of the three positions of (u, v, w).
-        h, s, t = table[:, ids].astype(np.uint64).reshape(3, _FIELDS, n, n, n)
-        return np.einsum("jxvw,juxw,juvx->juvw", h, s, t).reshape(_FIELDS, n**3).T
+        h, s, t = table[:, ids].astype(np.uint64).reshape(3, _FIELDS, g.n, g.n, g.n)
+        return np.einsum("jxvw,juxw,juvx->juvw", h, s, t).reshape(_FIELDS, -1).T
 
-    return atoms, sums
+    return sums
 
 
-# Each setup returns the atom rows (one per cell of V^k, the diagonal cells
-# ranking last) and a sums(ids, table) giving each cell's P hashed multiset
-# sums as uint64 columns, from the id hash table of _id_hashes.
+# Each setup returns sums(ids, table): each cell's P hashed multiset sums as
+# uint64 columns, from the id hash table of _id_hashes.
 _DIMENSIONS = {1: _setup_k1, 2: _setup_k2, 3: _setup_k3}
 
 

@@ -3,12 +3,16 @@ import pytest
 
 from autorbits import (
     EdgeColoredGraph,
+    InvalidPartitionError,
+    OrderedPartition,
     Permutation,
     SizeMismatchError,
+    WindowSet,
     apply_permutation,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    from_undirected_edges,
     is_automorphism,
     path_graph,
 )
@@ -34,6 +38,30 @@ def test_constructor_rejects_bad_input():
         EdgeColoredGraph([[2**62]])
     with pytest.raises(ValueError):
         EdgeColoredGraph(np.zeros((0, 0), dtype=int))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: EdgeColoredGraph([[0, 1.7], [1.2, 0]]), ValueError),
+        (lambda: EdgeColoredGraph([["0", "1"], ["1", "0"]]), ValueError),
+        (lambda: EdgeColoredGraph([[0, 2**63], [1, 0]]), ValueError),
+        (lambda: Permutation([0.5, 1.2]), ValueError),
+        (lambda: OrderedPartition([0.5, 1.5]), InvalidPartitionError),
+        (lambda: WindowSet.from_elements(2, [((0, 1.7), (2, 3))]), ValueError),
+        (lambda: from_undirected_edges(3, [(0, 1.5)]), ValueError),
+    ],
+    ids=["float-colors", "string-colors", "colors-past-int64", "float-permutation",
+         "float-class-ids", "float-window", "float-edge"],
+)
+def test_public_constructors_refuse_non_integers(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_boolean_color_matrices_are_accepted():
+    g = EdgeColoredGraph([[True, False], [False, True]])
+    assert g.colors.tolist() == [[1, 0], [0, 1]] and g.color_count == 2
 
 
 def test_complete_graph_has_two_colors():

@@ -99,6 +99,33 @@ def test_join_lemma_property_random_generator_sets():
         assert joined.same_blocks(closure_orbits(n, s1 + s2))
 
 
+def test_order_checks_match_set_definitions_exhaustive_n5():
+    rng = np.random.default_rng(5)
+
+    def shuffled(classes):
+        # Class ids in a random order, members in a random order.
+        order = rng.permutation(len(classes))
+        return OrderedPartition.from_classes(
+            [rng.permutation(classes[i]).tolist() for i in order], n=5
+        )
+
+    cases = [(shuffled(c), {frozenset(b) for b in c}) for c in all_set_partitions(range(5))]
+    assert len(cases) == 52
+    for p, p_blocks in cases:
+        for q, q_blocks in cases:
+            finer = all(any(b <= c for c in q_blocks) for b in p_blocks)
+            assert p.is_finer_or_equal(q) == finer
+            assert p.same_blocks(q) == (p_blocks == q_blocks)
+    fours = [OrderedPartition.from_classes(c, n=4) for c in all_set_partitions(range(4))]
+    for p, _ in cases:
+        for q in fours:
+            for a, b in ((p, q), (q, p)):
+                with pytest.raises(SizeMismatchError):
+                    a.is_finer_or_equal(b)
+                with pytest.raises(SizeMismatchError):
+                    a.same_blocks(b)
+
+
 def test_join_size_mismatch():
     with pytest.raises(SizeMismatchError):
         partition_join(P([0, 1]), P([0, 1], [2]))

@@ -5,6 +5,7 @@ import pytest
 
 from autorbits import (
     EdgeColoredGraph,
+    petersen_graph,
     OrderedPartition,
     RefinementConfig,
     ResourceLimitError,
@@ -185,6 +186,44 @@ def test_never_coarser_than_diagonal():
         diag = g2.colors.diagonal()
         for members in part.classes:
             assert len({int(diag[v]) for v in members}) == 1
+
+
+# A 3-colored digraph on 6 vertices whose refinement is discrete at every k.
+DIGRAPH6 = [
+    [0, 1, 2, 1, 0, 2],
+    [2, 1, 1, 0, 2, 1],
+    [1, 0, 0, 2, 1, 1],
+    [0, 2, 1, 2, 1, 0],
+    [2, 1, 0, 0, 1, 2],
+    [1, 1, 2, 0, 2, 0],
+]
+GOLDEN_GRAPHS = {
+    "petersen": petersen_graph,
+    "digraph6": lambda: EdgeColoredGraph(DIGRAPH6),
+    "c6-fix0": lambda: individualize_sequence(cycle_graph(6), [0]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, k, digest, rounds, class_of",
+    [
+        ("petersen", 1, "b1b7057f9813d3a5d4540a78279feb89", 0, [0] * 10),
+        ("petersen", 2, "cb5dbaf141dd6edc6ba92ab5ab669637", 0, [0] * 10),
+        ("petersen", 3, "bda9c93050b7fed3271ca7b348cfc3d2", 1, [0] * 10),
+        ("digraph6", 1, "cc49ab9b70f398db08dc890e5e2c52bc", 1, [1, 4, 0, 5, 3, 2]),
+        ("digraph6", 2, "ce09bef8ba29f7a6f93c828ade9d2ffb", 1, [1, 3, 0, 5, 4, 2]),
+        ("digraph6", 3, "43f55db66db89740c45fae89a0e51926", 1, [1, 3, 0, 5, 4, 2]),
+        ("c6-fix0", 1, "c1d9af244dd41ab16fa3f3ee6bdb4e17", 2, [3, 0, 2, 1, 2, 0]),
+        ("c6-fix0", 2, "f73e31398d66c0171c880aa5e0ce7629", 2, [3, 2, 0, 1, 0, 2]),
+        ("c6-fix0", 3, "2cf4f299464271abf382e3e6828bbb96", 2, [3, 0, 1, 2, 1, 0]),
+    ],
+)
+def test_golden_traces(name, k, digest, rounds, class_of):
+    # Pins the trace bytes, so any change to atoms, hashing or id order shows.
+    coloring = refine(GOLDEN_GRAPHS[name](), RefinementConfig(k=k))
+    assert coloring.trace_digest.hex() == digest
+    assert coloring.rounds_used == rounds
+    assert coloring.vertex_partition.class_of.tolist() == class_of
 
 
 def test_config_validation():
