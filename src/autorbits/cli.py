@@ -11,6 +11,7 @@ large for memory).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -184,7 +185,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = _Parser(
         prog="autorbits",
         description="Orbits and generators of edge-colored digraph automorphism groups.",

@@ -6,6 +6,10 @@ graphs are equal only when their matrices are, and ``color_count`` is the
 largest id + 1. Input ids must lie in [0, 2**62); the fresh ids derived
 from a graph's (individualization, the tag of a disjoint union) may pass
 that bound and still fit in int64.
+
+A graph also carries ``offdiagonal_memo``, a dict for values computed
+from its off-diagonal entries alone (the k=1 refinement pair terms). Graphs
+derived by changing only the diagonal share their parent's dict.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ def covers_once(values, n):
 class EdgeColoredGraph:
     """Immutable dense color matrix over ordered vertex pairs."""
 
-    __slots__ = ("colors", "n", "color_count")
+    __slots__ = ("colors", "n", "color_count", "offdiagonal_memo")
 
     def __init__(self, colors):
         mat = int_array(colors)
@@ -45,24 +49,27 @@ class EdgeColoredGraph:
             raise ValueError("graph needs at least one vertex")
         if mat.min() < 0 or mat.max() >= COLOR_LIMIT:
             raise ValueError("color ids must lie in [0, 2**62)")
-        self._freeze(mat)
+        self._freeze(mat, {})
 
     @classmethod
-    def derived(cls, mat):
+    def derived(cls, mat, memo=None):
         """Graph over mat, a fresh int64 matrix whose ids the library made:
         a relabeling or union of graphs, fresh individualization ids, or the
         fixed ids of ``from_adjacency``. It is frozen in place, neither
-        copied nor range-checked.
+        copied nor range-checked. ``memo`` is the ``offdiagonal_memo`` of a
+        graph that mat equals off the diagonal, to share; by default the
+        graph gets its own.
         """
         g = cls.__new__(cls)
-        g._freeze(mat)
+        g._freeze(mat, {} if memo is None else memo)
         return g
 
-    def _freeze(self, mat):
+    def _freeze(self, mat, memo):
         mat.setflags(write=False)
         self.colors = mat
         self.n = int(mat.shape[0])
         self.color_count = int(mat.max()) + 1
+        self.offdiagonal_memo = memo
 
     def diagonal(self):
         return self.colors.diagonal()
@@ -157,7 +164,7 @@ def from_adjacency(adj):
     complete graph uses {0, 1} and the empty graph {0, 2}.
     """
     adj = np.asarray(adj, dtype=bool)
-    mat = np.where(adj | adj.T, np.int64(1), np.int64(2))
+    mat = np.subtract(2, adj | adj.T, dtype=np.int64)
     np.fill_diagonal(mat, 0)
     return EdgeColoredGraph.derived(mat)
 

@@ -41,6 +41,7 @@ class OrderedPartition:
 
     @classmethod
     def from_classes(cls, classes, n=None):
+        classes = [list(c) for c in classes]
         sizes = [len(c) for c in classes]
         members = _int_array([v for c in classes for v in c])
         n = members.size if n is None else n

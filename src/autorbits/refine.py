@@ -7,7 +7,7 @@ lexicographically. The multiset hash is a sum of products: with h_j, s_j
 (and t_j at k=3) fixed 20-bit hashes of a class id, j = 1..P, P = 3,
 
 - k=1: S_j(u) = sum_w a_j(c(u,w), c(w,u)) * h_j(id(w)), where a_j hashes
-  the raw color pair once per refine;
+  the raw color pair (see "k=1 pair terms" below);
 - k=2: S_j(u,v) = sum_w h_j(id(u,w)) * s_j(id(w,v)), one float64 BLAS
   product H_j @ S'_j;
 - k=3: S_j(u,v,w) = sum_x h_j(id(x,v,w)) * s_j(id(u,x,w)) * t_j(id(u,v,x)),
@@ -37,6 +37,30 @@ the class count rises strictly until it stops changing, and a refine ends
 within n^k rounds. Atoms rank the diagonal cells (v, ..., v) last, so
 their ids form the top block of every round's ids, and the vertex classes
 are those ids shifted down to 0.
+
+k=1 pair terms. The w = u term of S_j(u), a_j(c(u,u), c(u,u)) * h_j(id(u)),
+takes n pair hashes of the refined graph's own diagonal. The w != u part
+reads only off-diagonal colors, so it is the same for a graph and every
+individualization of it: it is built on the first k=1 refine of such a
+family and kept in the graph's ``offdiagonal_memo``, in one of two forms.
+
+- Indicators, when the graph that builds them has at least
+  _INDICATOR_ORDER vertices, color ids below 16 and at most four distinct
+  off-diagonal pair codes p = (c(u,w), c(w,u)): for every code p but one,
+  b, a 0/1 float64 matrix M_p (an undirected simple graph needs one). Then
+  S_j = a_j(b) * (sum_{w != u} h_j) + sum_p (a_j(p) - a_j(b)) * (M_p h_j)
+  + the w = u term, in wrapping uint64. Each product M_p h_j is an exact
+  float64 integer below n * 2^20 <= 2^33 and the true sum is a non-negative
+  integer below 2^53, so arithmetic modulo 2^64, negative differences
+  a_j(p) - a_j(b) included, gives it exactly. Memory: 8 bytes per vertex
+  pair and matrix, and a round is one BLAS product per matrix.
+- Hashed fields, otherwise: a_j of every off-diagonal pair as a (P, n, n)
+  float64 array with a zero diagonal, 24 bytes per vertex pair, and a round
+  is one batched matrix-vector product.
+
+Both forms give the same sums, so the same ids and traces. Below
+_INDICATOR_ORDER the indicator form's extra numpy calls per round cost
+more than the memory traffic it saves.
 
 A run also hashes its *trace* into ``trace_digest``: k, n and the color
 count, then the class count, sorted rows and multiplicities of the atoms
@@ -230,26 +254,135 @@ def _atoms(g, k):
     return rows.reshape(n**k, -1)
 
 
-def _setup_k1(g):
-    n = g.n
-    colors = g.colors.view(np.uint64)
-    # a_j of the raw pair (color to w, color from w), hashed once per
-    # refine: mix(c(u,w)) ^ c(w,u) tells the pairs apart, _fields mixes it.
-    # Row blocks of about 2^16 cells keep the uint64 scratch small next to
-    # the float64 result.
-    pair = np.empty((_FIELDS, n, n))
-    step = max(1, (1 << 16) // n)
-    for lo in range(0, n, step):
-        block = slice(lo, lo + step)
-        code = colors[block].copy()
-        _mix(code, np.empty_like(code))
-        code ^= colors[:, block].T
-        pair[:, block] = _fields(code, _A)
+# Gates of the k=1 indicator form (see the module docstring). Pair codes
+# are _CODE_BASE c(u,w) + c(w,u) in uint8, so only graphs whose color ids
+# lie below _CODE_BASE are coded. Hashed fields are built in row blocks of
+# about _BLOCK cells.
+_INDICATOR_ORDER = 256
+_INDICATOR_CODES = 4
+_CODE_BASE = 16
+_BLOCK = 1 << 16
 
-    def sums(ids, table):
-        return np.matmul(pair, table[:_FIELDS, ids, None])[..., 0].T.astype(np.uint64)
 
-    return sums
+def _pair_fields(to, back):
+    """a_j of the raw pairs (to, back) = (c(u,w), c(w,u)), from int64 arrays
+    of one shape, as a (P, *shape) float64 array: mix(to) ^ back tells the
+    pairs apart, and _fields mixes it."""
+    code = to.astype(np.uint64)
+    _mix(code, np.empty_like(code))
+    code ^= back.view(np.uint64)
+    return _fields(code, _A)
+
+
+class _PairFields:
+    """Hashed form of the off-diagonal k=1 terms: a_j(c(u,w), c(w,u)) for
+    every pair, as a (P, n, n) float64 array with a zero diagonal."""
+
+    def __init__(self, g):
+        n, colors = g.n, g.colors
+        self.fields = np.empty((_FIELDS, n, n))
+        step = max(1, _BLOCK // n)
+        for lo in range(0, n, step):
+            block = slice(lo, lo + step)
+            self.fields[:, block] = _pair_fields(colors[block], colors[:, block].T)
+        self.fields[:, np.arange(n), np.arange(n)] = 0
+
+    def sums(self, diagonal):
+        def sums(ids, table):
+            h = table[:_FIELDS, ids]
+            out = np.matmul(self.fields, h[..., None])[..., 0]
+            out += diagonal * h
+            return out.T.astype(np.uint64)
+
+        return sums
+
+
+class _PairIndicators:
+    """Indicator form of the off-diagonal k=1 terms, for a graph whose
+    off-diagonal pairs take few codes: a_j(b) of the first code b, and for
+    every other code p its 0/1 matrix M_p[w, u] = [code(u, w) = p] and
+    a_j(p) - a_j(b) in wrapping uint64. Which code is left out does not
+    matter: the matrices are dense."""
+
+    def __init__(self, code, codes):
+        n = code.shape[0]
+        a = _pair_fields(*np.divmod(np.array(codes), _CODE_BASE)).astype(np.uint64)
+        self.base = a[:, :1]
+        self.deltas = (a[:, 1:] - self.base).T[..., None]
+        self.mats = np.empty((len(codes) - 1, n, n))
+        for mat, p in zip(self.mats, codes[1:]):
+            np.equal(code, p, out=mat)
+        self.mats[:, np.arange(n), np.arange(n)] = 0
+
+    def sums(self, diagonal):
+        diagonal = diagonal.astype(np.uint64)
+
+        def sums(ids, table):
+            # Every product term is an exact float64 integer below 2^33 and
+            # the true sum is below 2^53, so wrapping uint64 gives it exactly.
+            h = table[:_FIELDS, ids]
+            hu = h.astype(np.uint64)
+            out = self.base * (hu.sum(axis=1, keepdims=True) - hu)
+            out += (self.deltas * np.matmul(h, self.mats).astype(np.uint64)).sum(axis=0)
+            out += diagonal * hu
+            return out.T
+
+        return sums
+
+
+def _pair_codes(g):
+    """(code, codes): g's uint8 pair codes code[w, u] = 16 c(u,w) + c(w,u)
+    and the distinct codes off the diagonal; None when more than
+    _INDICATOR_CODES occur."""
+    n, colors = g.n, g.colors
+    # The pairs of vertex 0 alone often show that g has too many codes.
+    if np.unique(colors[0, 1:] * _CODE_BASE + colors[1:, 0]).size > _INDICATOR_CODES:
+        return None
+    colors = colors.astype(np.uint8)
+    code = np.ascontiguousarray(colors.T)
+    code *= _CODE_BASE
+    code |= colors
+    # Diagonal cells take the code of an off-diagonal cell, so that only
+    # off-diagonal codes are found (at n = 1 there is none).
+    np.fill_diagonal(code, code[0, 1 % n])
+    codes = _distinct(code, _INDICATOR_CODES + 1)
+    return None if len(codes) > _INDICATOR_CODES else (code, codes)
+
+
+def _distinct(a, limit):
+    """The smallest distinct values of the uint8 array a, at most limit of
+    them; each is found by one wrapping subtract and one min."""
+    out = [int(a.min())]
+    shifted = np.empty_like(a)
+    while len(out) < limit and out[-1] < 255:
+        # Values above out[-1] map to [0, 254 - out[-1]], the others above.
+        np.subtract(a, out[-1] + 1, out=shifted)
+        gap = int(shifted.min())
+        if gap > 254 - out[-1]:
+            break
+        out.append(out[-1] + 1 + gap)
+    return out
+
+
+def _k1_terms(g):
+    """Off-diagonal k=1 pair terms of g, in the indicator form when g is
+    large and has few pair codes and in the hashed form otherwise."""
+    if g.n >= _INDICATOR_ORDER and g.color_count <= _CODE_BASE:
+        codes = _pair_codes(g)
+        if codes is not None:
+            return _PairIndicators(*codes)
+    return _PairFields(g)
+
+
+def _setup_k1_diagonal(g):
+    # The off-diagonal terms are built on the first k=1 refine of g or of a
+    # graph it shares them with; only the w = u term is hashed here.
+    memo = g.offdiagonal_memo
+    terms = memo.get(1)
+    if terms is None:
+        terms = memo[1] = _k1_terms(g)
+    diagonal = g.colors.diagonal()
+    return terms.sums(_pair_fields(diagonal, diagonal))
 
 
 def _setup_k2(g):
@@ -272,7 +405,7 @@ def _setup_k3(g):
 
 # Each setup returns sums(ids, table): each cell's P hashed multiset sums as
 # uint64 columns, from the id hash table of _id_hashes.
-_DIMENSIONS = {1: _setup_k1, 2: _setup_k2, 3: _setup_k3}
+_DIMENSIONS = {1: _setup_k1_diagonal, 2: _setup_k2, 3: _setup_k3}
 
 
 def individualize_sequence(g, fixes):
@@ -296,4 +429,4 @@ def individualize_sequence(g, fixes):
     mat = g.colors.copy()
     for i, v in enumerate(fixes):
         mat[v, v] = g.color_count + i
-    return EdgeColoredGraph.derived(mat)
+    return EdgeColoredGraph.derived(mat, g.offdiagonal_memo)

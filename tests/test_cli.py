@@ -195,6 +195,20 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys, command):
     assert out.out == "" and "--budget" in out.err
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    from autorbits import cli as cli_module
+
+    assert cli_module.build_parser() is cli_module.build_parser()
+    path = write_graph(tmp_path, "k3.cdg", complete_graph(3))
+    errors = []
+    for argv in (["orbits", path, "--max-n", "3"], ["refine", path, "--json"],
+                 ["orbits", path, "--max-n", "3"]):
+        code = cli_module.main(argv)
+        errors.append((code, capsys.readouterr().err))
+    assert errors[0] == errors[2] and errors[0][0] == 4 and "--max-n" in errors[0][1]
+    assert errors[1] == (0, "")
+
+
 @pytest.mark.parametrize("value", ["-1", "+3", " 3"])
 @pytest.mark.parametrize("command", ["oracle-orbits", "oracle-aut", "verify"])
 def test_bad_oracle_cap_is_a_usage_error(tmp_path, capsys, command, value):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,23 @@ def test_stage_store_refines_each_distinct_tuple_once(monkeypatch):
     for fixes in asked:
         run.stage(fixes)
     assert len(calls) == len(set(asked)) == run.stats.refine_calls
+
+
+def test_k1_pair_terms_are_built_once_per_graph(monkeypatch):
+    module = importlib.import_module("autorbits.refine")
+    builds = []
+    real_terms = module._k1_terms
+
+    def spy(g):
+        builds.append(g.n)
+        return real_terms(g)
+
+    monkeypatch.setattr(module, "_k1_terms", spy)
+    system = compute_orbits(complete_graph(40), K1)
+    assert system.stats.refine_calls > 1 and builds == [40]
+    builds.clear()
+    assert iso_test(complete_graph(40), complete_graph(40), K1).verdict == ISOMORPHIC
+    assert builds == [40, 40]
 
 
 def test_stored_stage_equals_a_fresh_refine():

@@ -25,6 +25,12 @@ def test_constructor_validation():
         OrderedPartition.from_classes([[0], [2]], n=3)
 
 
+def test_from_classes_reads_iterators_once():
+    assert OrderedPartition.from_classes(iter([[0], [1, 2]])) == P([0], [1, 2])
+    classes = (iter(c) for c in ([2], [0, 1]))
+    assert OrderedPartition.from_classes(classes, n=3).classes == ((2,), (0, 1))
+
+
 def test_is_discrete():
     assert P([0], [1], [2]).is_discrete()
     assert not P([0, 1], [2]).is_discrete()

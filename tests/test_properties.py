@@ -1,7 +1,9 @@
 """Property tests of refine, iso_test and compute_orbits on random small
 graphs, against brute force and against the engine with its k=1 gate
-forced."""
+forced, and of the two forms of the k=1 pair terms against a per-entry
+reference."""
 
+import importlib
 from dataclasses import asdict
 
 import numpy as np
@@ -30,7 +32,7 @@ from autorbits import (
     refine,
 )
 from autorbits import engine
-from util import exact_wl, graph_from_bitmask
+from util import exact_wl, graph_from_bitmask, per_entry_k1_sums
 
 
 @st.composite
@@ -176,6 +178,7 @@ def _iso_answer(result):
 
 
 ALWAYS, NEVER = 1, 1 << 62
+K1 = RefinementConfig(k=1)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -193,3 +196,50 @@ def test_one_wl_first_changes_no_answer(case):
             assert (on.verdict == ISOMORPHIC) == (brute_iso(g, h) is not None)
         if on.verdict == ISOMORPHIC:
             assert apply_permutation(g, on.witness) == h
+
+
+@st.composite
+def k1_cases(draw):
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("undirected", "2-color", "5-color", "wide")))
+    if kind == "undirected":
+        g = graph_from_bitmask(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    else:
+        palette = {"2-color": (0, 1), "5-color": tuple(range(5)), "wide": (0, 1, 2**40)}[kind]
+        cells = draw(st.lists(st.sampled_from(palette), min_size=n * n, max_size=n * n))
+        g = EdgeColoredGraph(np.array(cells, dtype=np.int64).reshape(n, n))
+    order = draw(st.permutations(range(n)))
+    fixes = order[: draw(st.integers(0, min(n, 4)))]
+    block = draw(st.sampled_from((1, 5, 1 << 16)))
+    return g, fixes, block, draw(st.booleans())
+
+
+def _k1_answer(coloring):
+    return coloring.vertex_partition.class_of.tolist(), coloring.rounds_used, coloring.trace_digest
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k1_cases())
+def test_both_k1_pair_term_forms_match_the_per_entry_reference(case):
+    g, fixes, block, base_first = case
+    module = importlib.import_module("autorbits.refine")
+    c = g.colors.tolist()
+    codes = {(c[u][w], c[w][u]) for u in range(g.n) for w in range(g.n) if u != w}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(module._DIMENSIONS, 1, per_entry_k1_sums)
+        want = [_k1_answer(refine(h, K1)) for h in (g, individualize_sequence(g, fixes))]
+    for gate in (ALWAYS, NEVER):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "_INDICATOR_ORDER", gate)
+            patch.setattr(module, "_BLOCK", block)
+            fresh = EdgeColoredGraph(g.colors)
+            graphs = [fresh, individualize_sequence(fresh, fixes)]
+            if not base_first:
+                graphs.reverse()
+            got = [_k1_answer(refine(h, K1)) for h in graphs]
+            if not base_first:
+                got.reverse()
+            assert got == want
+            # The form is chosen by the graph that builds the shared terms.
+            indicators = gate == ALWAYS and len(codes) <= 4 and graphs[0].color_count <= 16
+            assert isinstance(fresh.offdiagonal_memo[1], module._PairIndicators) == indicators

@@ -1,6 +1,9 @@
 """Shared helpers for randomized tests. Everything is seeded and deterministic."""
 
+import importlib
 from itertools import product
+
+import numpy as np
 
 from autorbits import EdgeColoredGraph, Permutation, from_undirected_edges
 
@@ -108,3 +111,23 @@ def exact_wl(g, k):
     for v in range(n):
         classes.setdefault(color[(v,) * k], set()).add(v)
     return {frozenset(members) for members in classes.values()}, rounds
+
+
+def per_entry_k1_sums(g):
+    """Reference for the k=1 sums of ``refine``: a_j hashed afresh for every
+    pair (u, w), the diagonal included, and S_j(u) = sum_w a_j(c(u,w),
+    c(w,u)) h_j(id w) summed in uint64. It takes the place of the k=1 entry
+    of the refine module's ``_DIMENSIONS``.
+    """
+    module = importlib.import_module("autorbits.refine")
+    colors = g.colors.view(np.uint64)
+    code = colors.copy()
+    module._mix(code, np.empty_like(code))
+    code ^= colors.T
+    pair = module._fields(code, module._A).astype(np.uint64)
+
+    def sums(ids, table):
+        h = table[: module._FIELDS, ids].astype(np.uint64)
+        return (pair * h[:, None, :]).sum(axis=2).T
+
+    return sums
