@@ -22,7 +22,7 @@ from .errors import InternalInvariantError, NotDiscreteError
 from .graphs import Permutation, apply_permutation, is_automorphism
 from .graphs import disjoint_union  # noqa: F401  (the benchmark tracer wraps engine.disjoint_union)
 from .partitions import OrderedPartition, closure_orbits, partition_join
-from .refine import RefinementConfig, individualize_sequence, refine
+from .refine import RefinementConfig, individualize_sequence, refine, sharing_k1_terms
 
 # Bound on one run's stage store, counted in stored vertex entries
 # (stages times n). A stored stage is O(n), so this caps the store's memory
@@ -84,10 +84,13 @@ class IsoResult:
 
 class Run:
     """One search over one graph: its config, stats, fixation history and
-    stage store. Every search phase takes a run."""
+    stage store. Every search phase takes a run. Its stages are
+    individualizations of one copy of the graph that keeps its k=1 pair
+    terms, so they are built once per run and freed with it."""
 
     def __init__(self, g, cfg=None, stats=None):
         self.g = g
+        self._family = sharing_k1_terms(g)
         self.cfg = cfg or RefinementConfig()
         self.stats = stats if stats is not None else RunStats()
         self.history = np.zeros(g.n, dtype=np.int64)
@@ -119,7 +122,7 @@ class Run:
         out = self._stages.pop(fixes, None)
         if out is None:
             self.stats.refine_calls += 1
-            coloring = self._refine(individualize_sequence(self.g, fixes))
+            coloring = self._refine(individualize_sequence(self._family, fixes))
             out = StageGraph(base=self.g, fixes=fixes, coloring=coloring)
             capacity = max(1, STAGE_STORE_VERTICES // self.g.n)
             if len(self._stages) >= capacity:

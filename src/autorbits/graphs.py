@@ -7,9 +7,9 @@ largest id + 1. Input ids must lie in [0, 2**62); the fresh ids derived
 from a graph's (individualization, the tag of a disjoint union) may pass
 that bound and still fit in int64.
 
-A graph also carries ``offdiagonal_memo``, a dict for values computed
-from its off-diagonal entries alone (the k=1 refinement pair terms). Graphs
-derived by changing only the diagonal share their parent's dict.
+A graph also has a private slot, ``_k1_terms``: the refine module's cache
+of its k=1 pair terms. It is None, so nothing is kept, except on the graphs
+that ``refine.sharing_k1_terms`` makes and their individualizations.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def covers_once(values, n):
 class EdgeColoredGraph:
     """Immutable dense color matrix over ordered vertex pairs."""
 
-    __slots__ = ("colors", "n", "color_count", "offdiagonal_memo")
+    __slots__ = ("colors", "n", "color_count", "_k1_terms")
 
     def __init__(self, colors):
         mat = int_array(colors)
@@ -49,27 +49,25 @@ class EdgeColoredGraph:
             raise ValueError("graph needs at least one vertex")
         if mat.min() < 0 or mat.max() >= COLOR_LIMIT:
             raise ValueError("color ids must lie in [0, 2**62)")
-        self._freeze(mat, {})
+        self._freeze(mat)
 
     @classmethod
-    def derived(cls, mat, memo=None):
+    def derived(cls, mat):
         """Graph over mat, a fresh int64 matrix whose ids the library made:
         a relabeling or union of graphs, fresh individualization ids, or the
         fixed ids of ``from_adjacency``. It is frozen in place, neither
-        copied nor range-checked. ``memo`` is the ``offdiagonal_memo`` of a
-        graph that mat equals off the diagonal, to share; by default the
-        graph gets its own.
+        copied nor range-checked.
         """
         g = cls.__new__(cls)
-        g._freeze(mat, {} if memo is None else memo)
+        g._freeze(mat)
         return g
 
-    def _freeze(self, mat, memo):
+    def _freeze(self, mat):
         mat.setflags(write=False)
         self.colors = mat
         self.n = int(mat.shape[0])
         self.color_count = int(mat.max()) + 1
-        self.offdiagonal_memo = memo
+        self._k1_terms = None
 
     def diagonal(self):
         return self.colors.diagonal()

@@ -41,19 +41,23 @@ are those ids shifted down to 0.
 k=1 pair terms. The w = u term of S_j(u), a_j(c(u,u), c(u,u)) * h_j(id(u)),
 takes n pair hashes of the refined graph's own diagonal. The w != u part
 reads only off-diagonal colors, so it is the same for a graph and every
-individualization of it: it is built on the first k=1 refine of such a
-family and kept in the graph's ``offdiagonal_memo``, in one of two forms.
+individualization of it. A refine builds it and drops it when it returns,
+except on a graph made by ``sharing_k1_terms`` (an engine run makes one per
+search) and its individualizations: they build it on their first k=1
+refine and keep it while any of them lives, up to their next refine at
+k >= 2. That refine drops it: it needs the memory more, and a rebuild
+costs less than one of its rounds. The terms take one of two forms.
 
 - Indicators, when the graph that builds them has at least
-  _INDICATOR_ORDER vertices, color ids below 16 and at most four distinct
-  off-diagonal pair codes p = (c(u,w), c(w,u)): for every code p but one,
-  b, a 0/1 float64 matrix M_p (an undirected simple graph needs one). Then
-  S_j = a_j(b) * (sum_{w != u} h_j) + sum_p (a_j(p) - a_j(b)) * (M_p h_j)
-  + the w = u term, in wrapping uint64. Each product M_p h_j is an exact
-  float64 integer below n * 2^20 <= 2^33 and the true sum is a non-negative
-  integer below 2^53, so arithmetic modulo 2^64, negative differences
-  a_j(p) - a_j(b) included, gives it exactly. Memory: 8 bytes per vertex
-  pair and matrix, and a round is one BLAS product per matrix.
+  _INDICATOR_ORDER vertices, color ids below 16 and at most two distinct
+  off-diagonal pair codes b <= p, codes being (c(u,w), c(w,u)), as a
+  simple graph or a tournament has: the 0/1 float64 matrix M of code p.
+  Then S_j = a_j(b) * (sum_{w != u} h_j) + (a_j(p) - a_j(b)) * (M h_j)
+  + the w = u term, in wrapping uint64. The product M h_j is an exact
+  float64 integer below n * 2^20 <= 2^33 and the true sum is a
+  non-negative integer below 2^53, so arithmetic modulo 2^64, a negative
+  difference a_j(p) - a_j(b) included, gives it exactly. Memory: 8 bytes
+  per vertex pair, and a round is one (P, n) @ (n, n) BLAS product.
 - Hashed fields, otherwise: a_j of every off-diagonal pair as a (P, n, n)
   float64 array with a zero diagonal, 24 bytes per vertex pair, and a round
   is one batched matrix-vector product.
@@ -195,7 +199,8 @@ def refine(g, cfg=None):
     """Stable coloring of g under the configured stabilization dimension.
 
     Raises ResourceLimitError at k=1 or k=2 when g has more than 8192
-    vertices, where the float64 round sums stop being exact.
+    vertices, where the float64 round sums stop being exact. At k >= 2 it
+    drops the k=1 pair terms g keeps, if any (see ``sharing_k1_terms``).
     """
     cfg = cfg or RefinementConfig()
     if cfg.k < 3 and g.n > _EXACT_ORDER:
@@ -203,6 +208,8 @@ def refine(g, cfg=None):
             f"order {g.n} exceeds {_EXACT_ORDER}, the largest whose k={cfg.k} "
             "refinement sums are exact in float64"
         )
+    if cfg.k >= 2 and g._k1_terms is not None:
+        g._k1_terms[0] = None  # see "k=1 pair terms" in the module docstring
     rows, sums = _atoms(g, cfg.k), _DIMENSIONS[cfg.k](g)
     trace = hashlib.blake2b(b"T" + _pack(cfg.k, g.n, g.color_count), digest_size=16)
     # The atoms are round 0; rounds_used counts the rounds after them.
@@ -259,7 +266,6 @@ def _atoms(g, k):
 # lie below _CODE_BASE are coded. Hashed fields are built in row blocks of
 # about _BLOCK cells.
 _INDICATOR_ORDER = 256
-_INDICATOR_CODES = 4
 _CODE_BASE = 16
 _BLOCK = 1 << 16
 
@@ -299,31 +305,28 @@ class _PairFields:
 
 class _PairIndicators:
     """Indicator form of the off-diagonal k=1 terms, for a graph whose
-    off-diagonal pairs take few codes: a_j(b) of the first code b, and for
-    every other code p its 0/1 matrix M_p[w, u] = [code(u, w) = p] and
-    a_j(p) - a_j(b) in wrapping uint64. Which code is left out does not
-    matter: the matrices are dense."""
+    off-diagonal pairs take the codes b <= p only: a_j(b), the 0/1 matrix
+    M[w, u] = [code(u, w) = p] with a zero diagonal, and a_j(p) - a_j(b) in
+    wrapping uint64 (zero when b = p is the only code)."""
 
-    def __init__(self, code, codes):
-        n = code.shape[0]
-        a = _pair_fields(*np.divmod(np.array(codes), _CODE_BASE)).astype(np.uint64)
+    def __init__(self, code, b, p):
+        a = _pair_fields(*np.divmod(np.array([b, p]), _CODE_BASE)).astype(np.uint64)
         self.base = a[:, :1]
-        self.deltas = (a[:, 1:] - self.base).T[..., None]
-        self.mats = np.empty((len(codes) - 1, n, n))
-        for mat, p in zip(self.mats, codes[1:]):
-            np.equal(code, p, out=mat)
-        self.mats[:, np.arange(n), np.arange(n)] = 0
+        self.delta = a[:, 1:] - self.base
+        self.mat = np.empty(code.shape)
+        np.equal(code, p, out=self.mat)
+        np.fill_diagonal(self.mat, 0)
 
     def sums(self, diagonal):
         diagonal = diagonal.astype(np.uint64)
 
         def sums(ids, table):
-            # Every product term is an exact float64 integer below 2^33 and
-            # the true sum is below 2^53, so wrapping uint64 gives it exactly.
+            # The product is an exact float64 integer below 2^33 and the
+            # true sum is below 2^53, so wrapping uint64 gives it exactly.
             h = table[:_FIELDS, ids]
             hu = h.astype(np.uint64)
             out = self.base * (hu.sum(axis=1, keepdims=True) - hu)
-            out += (self.deltas * np.matmul(h, self.mats).astype(np.uint64)).sum(axis=0)
+            out += self.delta * (h @ self.mat).astype(np.uint64)
             out += diagonal * hu
             return out.T
 
@@ -331,12 +334,12 @@ class _PairIndicators:
 
 
 def _pair_codes(g):
-    """(code, codes): g's uint8 pair codes code[w, u] = 16 c(u,w) + c(w,u)
-    and the distinct codes off the diagonal; None when more than
-    _INDICATOR_CODES occur."""
+    """(code, b, p): g's uint8 pair codes code[w, u] = 16 c(u,w) + c(w,u)
+    and the least and the greatest code off the diagonal; None when more
+    than two codes occur there."""
     n, colors = g.n, g.colors
     # The pairs of vertex 0 alone often show that g has too many codes.
-    if np.unique(colors[0, 1:] * _CODE_BASE + colors[1:, 0]).size > _INDICATOR_CODES:
+    if np.unique(colors[0, 1:] * _CODE_BASE + colors[1:, 0]).size > 2:
         return None
     colors = colors.astype(np.uint8)
     code = np.ascontiguousarray(colors.T)
@@ -345,28 +348,18 @@ def _pair_codes(g):
     # Diagonal cells take the code of an off-diagonal cell, so that only
     # off-diagonal codes are found (at n = 1 there is none).
     np.fill_diagonal(code, code[0, 1 % n])
-    codes = _distinct(code, _INDICATOR_CODES + 1)
-    return None if len(codes) > _INDICATOR_CODES else (code, codes)
+    b, p = int(code.min()), int(code.max())
+    if p - b > 1:
+        # Subtracting b + 1 (wrapping) maps b to 255 and every greater code
+        # v to v - b - 1, so a code between b and p shows as a smaller min.
+        if int((code - np.uint8(b + 1)).min()) < p - b - 1:
+            return None
+    return code, b, p
 
 
-def _distinct(a, limit):
-    """The smallest distinct values of the uint8 array a, at most limit of
-    them; each is found by one wrapping subtract and one min."""
-    out = [int(a.min())]
-    shifted = np.empty_like(a)
-    while len(out) < limit and out[-1] < 255:
-        # Values above out[-1] map to [0, 254 - out[-1]], the others above.
-        np.subtract(a, out[-1] + 1, out=shifted)
-        gap = int(shifted.min())
-        if gap > 254 - out[-1]:
-            break
-        out.append(out[-1] + 1 + gap)
-    return out
-
-
-def _k1_terms(g):
+def _build_k1_terms(g):
     """Off-diagonal k=1 pair terms of g, in the indicator form when g is
-    large and has few pair codes and in the hashed form otherwise."""
+    large and has at most two pair codes and in the hashed form otherwise."""
     if g.n >= _INDICATOR_ORDER and g.color_count <= _CODE_BASE:
         codes = _pair_codes(g)
         if codes is not None:
@@ -375,14 +368,12 @@ def _k1_terms(g):
 
 
 def _setup_k1_diagonal(g):
-    # The off-diagonal terms are built on the first k=1 refine of g or of a
-    # graph it shares them with; only the w = u term is hashed here.
-    memo = g.offdiagonal_memo
-    terms = memo.get(1)
-    if terms is None:
-        terms = memo[1] = _k1_terms(g)
+    # Only the w = u term is hashed on every refine (see sharing_k1_terms).
+    kept = [None] if g._k1_terms is None else g._k1_terms
+    if kept[0] is None:
+        kept[0] = _build_k1_terms(g)
     diagonal = g.colors.diagonal()
-    return terms.sums(_pair_fields(diagonal, diagonal))
+    return kept[0].sums(_pair_fields(diagonal, diagonal))
 
 
 def _setup_k2(g):
@@ -415,7 +406,8 @@ def individualize_sequence(g, fixes):
     existing id and construction keeps ids as given, so the result does
     not depend on folding one-vertex steps. A fresh id may pass the
     constructor's 2**62 bound on input ids, and still fits in int64.
-    Fixes must be distinct vertices of g.
+    Fixes must be distinct vertices of g. The result shares the k=1 pair
+    terms g keeps, if any (see ``sharing_k1_terms``).
     """
     seen = set()
     for v in fixes:
@@ -429,4 +421,16 @@ def individualize_sequence(g, fixes):
     mat = g.colors.copy()
     for i, v in enumerate(fixes):
         mat[v, v] = g.color_count + i
-    return EdgeColoredGraph.derived(mat, g.offdiagonal_memo)
+    h = EdgeColoredGraph.derived(mat)
+    h._k1_terms = g._k1_terms
+    return h
+
+
+def sharing_k1_terms(g):
+    """A graph equal to g that builds its k=1 pair terms on its first k=1
+    refine and keeps them, shared with every individualization of it, while
+    any of these graphs lives and until one of them is refined at k >= 2
+    (see the module docstring)."""
+    h = EdgeColoredGraph.derived(g.colors)
+    h._k1_terms = [None]
+    return h

@@ -121,21 +121,27 @@ def test_stage_store_refines_each_distinct_tuple_once(monkeypatch):
     assert len(calls) == len(set(asked)) == run.stats.refine_calls
 
 
-def test_k1_pair_terms_are_built_once_per_graph(monkeypatch):
+def test_k1_pair_terms_are_built_once_per_run(monkeypatch):
     module = importlib.import_module("autorbits.refine")
     builds = []
-    real_terms = module._k1_terms
+    real_build = module._build_k1_terms
 
     def spy(g):
         builds.append(g.n)
-        return real_terms(g)
+        return real_build(g)
 
-    monkeypatch.setattr(module, "_k1_terms", spy)
-    system = compute_orbits(complete_graph(40), K1)
+    monkeypatch.setattr(module, "_build_k1_terms", spy)
+    g = complete_graph(40)
+    system = compute_orbits(g, K1)
     assert system.stats.refine_calls > 1 and builds == [40]
     builds.clear()
-    assert iso_test(complete_graph(40), complete_graph(40), K1).verdict == ISOMORPHIC
+    assert iso_test(g, complete_graph(40), K1).verdict == ISOMORPHIC
     assert builds == [40, 40]
+    # A graph the caller holds keeps no terms: a direct refine builds its own.
+    builds.clear()
+    refine(g, K1)
+    refine(g, K1)
+    assert builds == [40, 40] and g._k1_terms is None
 
 
 def test_stored_stage_equals_a_fresh_refine():

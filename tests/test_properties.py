@@ -4,6 +4,7 @@ forced, and of the two forms of the k=1 pair terms against a per-entry
 reference."""
 
 import importlib
+import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -201,9 +202,13 @@ def test_one_wl_first_changes_no_answer(case):
 @st.composite
 def k1_cases(draw):
     n = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(("undirected", "2-color", "5-color", "wide")))
-    if kind == "undirected":
+    kind = draw(st.sampled_from(("undirected", "tournament", "2-color", "5-color", "wide")))
+    if kind in ("undirected", "tournament"):
         g = graph_from_bitmask(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+        if kind == "tournament":
+            # Every pair oriented: an edge points up, a non-edge down.
+            up = np.triu(g.colors == 1, 1) | np.tril(g.colors == 2, -1)
+            g = EdgeColoredGraph(np.where(up, 1, 2) - 2 * np.eye(n, dtype=np.int64))
     else:
         palette = {"2-color": (0, 1), "5-color": tuple(range(5)), "wide": (0, 1, 2**40)}[kind]
         cells = draw(st.lists(st.sampled_from(palette), min_size=n * n, max_size=n * n))
@@ -228,11 +233,11 @@ def test_both_k1_pair_term_forms_match_the_per_entry_reference(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(module._DIMENSIONS, 1, per_entry_k1_sums)
         want = [_k1_answer(refine(h, K1)) for h in (g, individualize_sequence(g, fixes))]
-    for gate in (ALWAYS, NEVER):
+    for gate, shared in itertools.product((ALWAYS, NEVER), (True, False)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(module, "_INDICATOR_ORDER", gate)
             patch.setattr(module, "_BLOCK", block)
-            fresh = EdgeColoredGraph(g.colors)
+            fresh = module.sharing_k1_terms(g) if shared else EdgeColoredGraph(g.colors)
             graphs = [fresh, individualize_sequence(fresh, fixes)]
             if not base_first:
                 graphs.reverse()
@@ -240,6 +245,9 @@ def test_both_k1_pair_term_forms_match_the_per_entry_reference(case):
             if not base_first:
                 got.reverse()
             assert got == want
-            # The form is chosen by the graph that builds the shared terms.
-            indicators = gate == ALWAYS and len(codes) <= 4 and graphs[0].color_count <= 16
-            assert isinstance(fresh.offdiagonal_memo[1], module._PairIndicators) == indicators
+            if shared:
+                # The form is chosen by the graph that builds the shared terms.
+                indicators = gate == ALWAYS and len(codes) <= 2 and graphs[0].color_count <= 16
+                assert isinstance(fresh._k1_terms[0], module._PairIndicators) == indicators
+            else:
+                assert fresh._k1_terms is None

@@ -250,3 +250,16 @@ def test_order_above_the_exact_bound_is_a_resource_limit(monkeypatch):
             refine(cycle_graph(4), cfg)
     # k=3 sums wrap in uint64 and have no bound.
     assert refine(cycle_graph(4), K3).vertex_partition.classes == ((0, 1, 2, 3),)
+
+
+def test_kept_k1_terms_are_shared_and_dropped_by_a_k2_refine():
+    module = importlib.import_module("autorbits.refine")
+    g = module.sharing_k1_terms(cycle_graph(8))
+    h = individualize_sequence(g, [0])
+    refine(h, K1)
+    terms = g._k1_terms[0]
+    assert terms is not None and h._k1_terms[0] is terms
+    refine(g, K1)
+    assert g._k1_terms[0] is terms
+    refine(h, K2)
+    assert g._k1_terms == [None]
