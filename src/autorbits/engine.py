@@ -84,14 +84,15 @@ class IsoResult:
 
 class Run:
     """One search over one graph: its config, stats, fixation history and
-    stage store. Every search phase takes a run. Its stages are
-    individualizations of one copy of the graph that keeps its k=1 pair
-    terms, so they are built once per run and freed with it."""
+    stage store. Every search phase takes a run. At k=1 its stages are
+    individualizations of one copy of the graph that carries its k=1 pair
+    terms, so they are built once per run and freed with it; at k >= 2
+    every k=1 pass builds and frees its own."""
 
     def __init__(self, g, cfg=None, stats=None):
         self.g = g
-        self._family = sharing_k1_terms(g)
         self.cfg = cfg or RefinementConfig()
+        self._family = sharing_k1_terms(g) if self.cfg.k == 1 else g
         self.stats = stats if stats is not None else RunStats()
         self.history = np.zeros(g.n, dtype=np.int64)
         self._stages = {}

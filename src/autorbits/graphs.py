@@ -7,9 +7,10 @@ largest id + 1. Input ids must lie in [0, 2**62); the fresh ids derived
 from a graph's (individualization, the tag of a disjoint union) may pass
 that bound and still fit in int64.
 
-A graph also has a private slot, ``_k1_terms``: the refine module's cache
-of its k=1 pair terms. It is None, so nothing is kept, except on the graphs
-that ``refine.sharing_k1_terms`` makes and their individualizations.
+A graph also has a private slot, ``_k1_terms``: the k=1 pair terms of the
+refine module. It is None except on the graphs that
+``refine.sharing_k1_terms`` makes and their individualizations, where it
+is set once, when the graph is made, and never changed.
 """
 
 from __future__ import annotations
@@ -68,9 +69,6 @@ class EdgeColoredGraph:
         self.n = int(mat.shape[0])
         self.color_count = int(mat.max()) + 1
         self._k1_terms = None
-
-    def diagonal(self):
-        return self.colors.diagonal()
 
     def __eq__(self, other):
         if not isinstance(other, EdgeColoredGraph):

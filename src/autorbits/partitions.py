@@ -55,10 +55,6 @@ class OrderedPartition:
     def singletons(cls, n):
         return cls(np.arange(n))
 
-    @classmethod
-    def single_class(cls, n):
-        return cls(np.zeros(n, dtype=np.int64))
-
     @property
     def class_count(self):
         return len(self.classes)

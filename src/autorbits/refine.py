@@ -41,14 +41,15 @@ are those ids shifted down to 0.
 k=1 pair terms. The w = u term of S_j(u), a_j(c(u,u), c(u,u)) * h_j(id(u)),
 takes n pair hashes of the refined graph's own diagonal. The w != u part
 reads only off-diagonal colors, so it is the same for a graph and every
-individualization of it. A refine builds it and drops it when it returns,
-except on a graph made by ``sharing_k1_terms`` (an engine run makes one per
-search) and its individualizations: they build it on their first k=1
-refine and keep it while any of them lives, up to their next refine at
-k >= 2. That refine drops it: it needs the memory more, and a rebuild
-costs less than one of its rounds. The terms take one of two forms.
+individualization of it. One rule says where it lives: a k=1 search
+shares it, and every other refine builds its own and frees it on return.
+``sharing_k1_terms`` builds it at once from the base graph, which alone
+chooses its form, and every individualization carries it unchanged; an
+engine run makes such a graph only at k=1. So no k=1 terms are held
+during a refine at k >= 2, and a refine changes nothing it can reach from
+its argument. The terms take one of two forms.
 
-- Indicators, when the graph that builds them has at least
+- Indicators, when the graph they are built from has at least
   _INDICATOR_ORDER vertices, color ids below 16 and at most two distinct
   off-diagonal pair codes b <= p, codes being (c(u,w), c(w,u)), as a
   simple graph or a tournament has: the 0/1 float64 matrix M of code p.
@@ -78,6 +79,7 @@ graph.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import struct
@@ -199,8 +201,7 @@ def refine(g, cfg=None):
     """Stable coloring of g under the configured stabilization dimension.
 
     Raises ResourceLimitError at k=1 or k=2 when g has more than 8192
-    vertices, where the float64 round sums stop being exact. At k >= 2 it
-    drops the k=1 pair terms g keeps, if any (see ``sharing_k1_terms``).
+    vertices, where the float64 round sums stop being exact.
     """
     cfg = cfg or RefinementConfig()
     if cfg.k < 3 and g.n > _EXACT_ORDER:
@@ -208,8 +209,6 @@ def refine(g, cfg=None):
             f"order {g.n} exceeds {_EXACT_ORDER}, the largest whose k={cfg.k} "
             "refinement sums are exact in float64"
         )
-    if cfg.k >= 2 and g._k1_terms is not None:
-        g._k1_terms[0] = None  # see "k=1 pair terms" in the module docstring
     rows, sums = _atoms(g, cfg.k), _DIMENSIONS[cfg.k](g)
     trace = hashlib.blake2b(b"T" + _pack(cfg.k, g.n, g.color_count), digest_size=16)
     # The atoms are round 0; rounds_used counts the rounds after them.
@@ -369,11 +368,9 @@ def _build_k1_terms(g):
 
 def _setup_k1_diagonal(g):
     # Only the w = u term is hashed on every refine (see sharing_k1_terms).
-    kept = [None] if g._k1_terms is None else g._k1_terms
-    if kept[0] is None:
-        kept[0] = _build_k1_terms(g)
+    terms = _build_k1_terms(g) if g._k1_terms is None else g._k1_terms
     diagonal = g.colors.diagonal()
-    return kept[0].sums(_pair_fields(diagonal, diagonal))
+    return terms.sums(_pair_fields(diagonal, diagonal))
 
 
 def _setup_k2(g):
@@ -406,8 +403,8 @@ def individualize_sequence(g, fixes):
     existing id and construction keeps ids as given, so the result does
     not depend on folding one-vertex steps. A fresh id may pass the
     constructor's 2**62 bound on input ids, and still fits in int64.
-    Fixes must be distinct vertices of g. The result shares the k=1 pair
-    terms g keeps, if any (see ``sharing_k1_terms``).
+    Fixes must be distinct vertices of g. The result carries g's k=1 pair
+    terms, the same object, when g carries any (see ``sharing_k1_terms``).
     """
     seen = set()
     for v in fixes:
@@ -427,10 +424,9 @@ def individualize_sequence(g, fixes):
 
 
 def sharing_k1_terms(g):
-    """A graph equal to g that builds its k=1 pair terms on its first k=1
-    refine and keeps them, shared with every individualization of it, while
-    any of these graphs lives and until one of them is refined at k >= 2
-    (see the module docstring)."""
-    h = EdgeColoredGraph.derived(g.colors)
-    h._k1_terms = [None]
+    """A graph equal to g that carries g's k=1 pair terms, built now in the
+    form g chooses and never changed: every individualization of it and
+    every k=1 refine of those reads them (see the module docstring)."""
+    h = copy.copy(g)
+    h._k1_terms = _build_k1_terms(g)
     return h

@@ -144,6 +144,30 @@ def test_k1_pair_terms_are_built_once_per_run(monkeypatch):
     assert builds == [40, 40] and g._k1_terms is None
 
 
+def test_k2_run_builds_k1_terms_per_pass_and_keeps_none(monkeypatch):
+    module = importlib.import_module("autorbits.refine")
+    monkeypatch.setattr(engine, "ONE_WL_FIRST", 1)
+    builds, refined = [], []
+    real_build, real_refine = module._build_k1_terms, engine.refine
+
+    def spy_build(g):
+        builds.append(g.n)
+        return real_build(g)
+
+    def spy_refine(g, cfg=None):
+        refined.append((cfg.k, g))
+        return real_refine(g, cfg)
+
+    monkeypatch.setattr(module, "_build_k1_terms", spy_build)
+    monkeypatch.setattr(engine, "refine", spy_refine)
+    system = compute_orbits(petersen_graph(), K2)
+    assert system.status == CERTIFIED
+    k1_passes = [k for k, _ in refined].count(1)
+    assert k1_passes == system.stats.refine_calls > 1
+    assert builds == [10] * k1_passes
+    assert all(g._k1_terms is None for _, g in refined)
+
+
 def test_stored_stage_equals_a_fresh_refine():
     g = petersen_graph()
     fixes = (3, 7)

@@ -9,7 +9,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autorbits import (
@@ -223,8 +223,17 @@ def _k1_answer(coloring):
     return coloring.vertex_partition.class_of.tolist(), coloring.rounds_used, coloring.trace_digest
 
 
+def _two_codes_high_loops():
+    # A 2-code graph whose vertex colors reach id 13: three fixes take its
+    # individualization's color count to 17, past the indicator form's 16.
+    mat = cycle_graph(9).colors.copy()
+    np.fill_diagonal(mat, [13, 0, 5, 0, 13, 2, 0, 0, 7])
+    return EdgeColoredGraph(mat), [4, 0, 7], 1 << 16, False
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(k1_cases())
+@example(_two_codes_high_loops())
 def test_both_k1_pair_term_forms_match_the_per_entry_reference(case):
     g, fixes, block, base_first = case
     module = importlib.import_module("autorbits.refine")
@@ -246,8 +255,10 @@ def test_both_k1_pair_term_forms_match_the_per_entry_reference(case):
                 got.reverse()
             assert got == want
             if shared:
-                # The form is chosen by the graph that builds the shared terms.
-                indicators = gate == ALWAYS and len(codes) <= 2 and graphs[0].color_count <= 16
-                assert isinstance(fresh._k1_terms[0], module._PairIndicators) == indicators
+                # The base graph alone chooses the form, whichever graph
+                # of the family is refined first.
+                indicators = gate == ALWAYS and len(codes) <= 2 and g.color_count <= 16
+                assert isinstance(fresh._k1_terms, module._PairIndicators) == indicators
+                assert all(h._k1_terms is fresh._k1_terms for h in graphs)
             else:
                 assert fresh._k1_terms is None

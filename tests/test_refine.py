@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -252,14 +253,27 @@ def test_order_above_the_exact_bound_is_a_resource_limit(monkeypatch):
     assert refine(cycle_graph(4), K3).vertex_partition.classes == ((0, 1, 2, 3),)
 
 
-def test_kept_k1_terms_are_shared_and_dropped_by_a_k2_refine():
+def test_shared_k1_terms_are_fixed_for_the_whole_family():
     module = importlib.import_module("autorbits.refine")
-    g = module.sharing_k1_terms(cycle_graph(8))
-    h = individualize_sequence(g, [0])
-    refine(h, K1)
-    terms = g._k1_terms[0]
-    assert terms is not None and h._k1_terms[0] is terms
-    refine(g, K1)
-    assert g._k1_terms[0] is terms
-    refine(h, K2)
-    assert g._k1_terms == [None]
+    base = individualize_sequence(cycle_graph(8), [5])
+
+    def rescan(graph, mat):
+        raise AssertionError("the sharing graph rescans the matrix")
+
+    # The sharing graph takes base's fields as they are.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EdgeColoredGraph, "_freeze", rescan)
+        g = module.sharing_k1_terms(base)
+    assert g == base and g is not base and g.colors is base.colors
+    assert (g.n, g.color_count) == (base.n, base.color_count) == (8, 4)
+    family = [g, individualize_sequence(g, [0]), individualize_sequence(g, [3, 1])]
+    terms = g._k1_terms
+    assert isinstance(terms, (module._PairFields, module._PairIndicators))
+    assert base._k1_terms is None
+    for h, cfg in itertools.product(family, (K1, K2)):
+        refine(h, cfg)
+        assert all(f._k1_terms is terms for f in family)
+    # Refining with shared terms gives what a graph's own terms give.
+    h = individualize_sequence(base, [3, 1])
+    assert refine(family[2], K1).trace_digest == refine(h, K1).trace_digest
+    assert h._k1_terms is None
