@@ -61,7 +61,7 @@ from .graphs import (
 )
 from .oracle import brute_aut, brute_iso, brute_orbits
 from .partitions import OrderedPartition, closure_orbits, partition_join
-from .refine import RefinementConfig, StableColoring, individualize_sequence, refine
+from .refinement import RefinementConfig, StableColoring, individualize_sequence, refine
 
 __version__ = "0.1.0"
 

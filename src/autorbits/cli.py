@@ -36,7 +36,7 @@ from .errors import (
     SizeLimitError,
 )
 from .oracle import brute_aut, brute_orbits
-from .refine import RefinementConfig, refine
+from .refinement import RefinementConfig, refine
 from .formats import load_document, parse_graph, parse_window_set
 
 EXIT_OK = 0

@@ -22,7 +22,7 @@ from .errors import InternalInvariantError, NotDiscreteError
 from .graphs import Permutation, apply_permutation, is_automorphism
 from .graphs import disjoint_union  # noqa: F401  (the benchmark tracer wraps engine.disjoint_union)
 from .partitions import OrderedPartition, closure_orbits, partition_join
-from .refine import RefinementConfig, individualize_sequence, refine, sharing_k1_terms
+from .refinement import RefinementConfig, individualize_sequence, refine, sharing_k1_terms
 
 # Bound on one run's stage store, counted in stored vertex entries
 # (stages times n). A stored stage is O(n), so this caps the store's memory

@@ -394,11 +394,10 @@ def test_order_beyond_memory_is_a_resource_limit(tmp_path, monkeypatch, capsys, 
 
 @pytest.mark.parametrize("command", ["refine", "orbits"])
 def test_order_above_exact_refinement_is_a_resource_limit(tmp_path, monkeypatch, capsys, command):
-    import importlib
-
     from autorbits import cli as cli_module
+    from autorbits import refinement
 
-    monkeypatch.setattr(importlib.import_module("autorbits.refine"), "_EXACT_ORDER", 4)
+    monkeypatch.setattr(refinement, "_EXACT_ORDER", 4)
     path = tmp_path / "empty5.dimacs"
     path.write_text("p edge 5 0\n")
     assert cli_module.main([command, str(path), "--k", "1", "--json"]) == 6

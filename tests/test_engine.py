@@ -1,4 +1,3 @@
-import importlib
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from autorbits import (
     stage_orbits,
     verify_merge,
 )
-from autorbits import engine
+from autorbits import engine, refinement
 from util import (
     random_permutation,
     random_simple_graph,
@@ -122,15 +121,14 @@ def test_stage_store_refines_each_distinct_tuple_once(monkeypatch):
 
 
 def test_k1_pair_terms_are_built_once_per_run(monkeypatch):
-    module = importlib.import_module("autorbits.refine")
     builds = []
-    real_build = module._build_k1_terms
+    real_build = refinement._build_k1_terms
 
     def spy(g):
         builds.append(g.n)
         return real_build(g)
 
-    monkeypatch.setattr(module, "_build_k1_terms", spy)
+    monkeypatch.setattr(refinement, "_build_k1_terms", spy)
     g = complete_graph(40)
     system = compute_orbits(g, K1)
     assert system.stats.refine_calls > 1 and builds == [40]
@@ -145,10 +143,9 @@ def test_k1_pair_terms_are_built_once_per_run(monkeypatch):
 
 
 def test_k2_run_builds_k1_terms_per_pass_and_keeps_none(monkeypatch):
-    module = importlib.import_module("autorbits.refine")
     monkeypatch.setattr(engine, "ONE_WL_FIRST", 1)
     builds, refined = [], []
-    real_build, real_refine = module._build_k1_terms, engine.refine
+    real_build, real_refine = refinement._build_k1_terms, engine.refine
 
     def spy_build(g):
         builds.append(g.n)
@@ -158,7 +155,7 @@ def test_k2_run_builds_k1_terms_per_pass_and_keeps_none(monkeypatch):
         refined.append((cfg.k, g))
         return real_refine(g, cfg)
 
-    monkeypatch.setattr(module, "_build_k1_terms", spy_build)
+    monkeypatch.setattr(refinement, "_build_k1_terms", spy_build)
     monkeypatch.setattr(engine, "refine", spy_refine)
     system = compute_orbits(petersen_graph(), K2)
     assert system.status == CERTIFIED

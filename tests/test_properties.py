@@ -3,7 +3,6 @@ graphs, against brute force and against the engine with its k=1 gate
 forced, and of the two forms of the k=1 pair terms against a per-entry
 reference."""
 
-import importlib
 import itertools
 from dataclasses import asdict
 
@@ -32,7 +31,7 @@ from autorbits import (
     petersen_graph,
     refine,
 )
-from autorbits import engine
+from autorbits import engine, refinement
 from util import exact_wl, graph_from_bitmask, per_entry_k1_sums
 
 
@@ -236,17 +235,16 @@ def _two_codes_high_loops():
 @example(_two_codes_high_loops())
 def test_both_k1_pair_term_forms_match_the_per_entry_reference(case):
     g, fixes, block, base_first = case
-    module = importlib.import_module("autorbits.refine")
     c = g.colors.tolist()
     codes = {(c[u][w], c[w][u]) for u in range(g.n) for w in range(g.n) if u != w}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(module._DIMENSIONS, 1, per_entry_k1_sums)
+        patch.setitem(refinement._DIMENSIONS, 1, per_entry_k1_sums)
         want = [_k1_answer(refine(h, K1)) for h in (g, individualize_sequence(g, fixes))]
     for gate, shared in itertools.product((ALWAYS, NEVER), (True, False)):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(module, "_INDICATOR_ORDER", gate)
-            patch.setattr(module, "_BLOCK", block)
-            fresh = module.sharing_k1_terms(g) if shared else EdgeColoredGraph(g.colors)
+            patch.setattr(refinement, "_INDICATOR_ORDER", gate)
+            patch.setattr(refinement, "_BLOCK", block)
+            fresh = refinement.sharing_k1_terms(g) if shared else EdgeColoredGraph(g.colors)
             graphs = [fresh, individualize_sequence(fresh, fixes)]
             if not base_first:
                 graphs.reverse()
@@ -258,7 +256,7 @@ def test_both_k1_pair_term_forms_match_the_per_entry_reference(case):
                 # The base graph alone chooses the form, whichever graph
                 # of the family is refined first.
                 indicators = gate == ALWAYS and len(codes) <= 2 and g.color_count <= 16
-                assert isinstance(fresh._k1_terms, module._PairIndicators) == indicators
+                assert isinstance(fresh._k1_terms, refinement._PairIndicators) == indicators
                 assert all(h._k1_terms is fresh._k1_terms for h in graphs)
             else:
                 assert fresh._k1_terms is None

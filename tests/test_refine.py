@@ -1,4 +1,3 @@
-import importlib
 import itertools
 
 import numpy as np
@@ -18,6 +17,7 @@ from autorbits import (
     path_graph,
     refine,
 )
+from autorbits import refinement
 from util import random_permutation, random_simple_graph, rigid6
 
 K1 = RefinementConfig(k=1)
@@ -242,9 +242,8 @@ def test_pair_hashes_are_salted_after_mixing():
 
 
 def test_order_above_the_exact_bound_is_a_resource_limit(monkeypatch):
-    module = importlib.import_module("autorbits.refine")
-    assert module._EXACT_ORDER == 8192
-    monkeypatch.setattr(module, "_EXACT_ORDER", 3)
+    assert refinement._EXACT_ORDER == 8192
+    monkeypatch.setattr(refinement, "_EXACT_ORDER", 3)
     assert refine(cycle_graph(3), K2).rounds_used == 0
     for cfg in (K1, K2):
         with pytest.raises(ResourceLimitError, match="exact"):
@@ -254,7 +253,6 @@ def test_order_above_the_exact_bound_is_a_resource_limit(monkeypatch):
 
 
 def test_shared_k1_terms_are_fixed_for_the_whole_family():
-    module = importlib.import_module("autorbits.refine")
     base = individualize_sequence(cycle_graph(8), [5])
 
     def rescan(graph, mat):
@@ -263,12 +261,12 @@ def test_shared_k1_terms_are_fixed_for_the_whole_family():
     # The sharing graph takes base's fields as they are.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(EdgeColoredGraph, "_freeze", rescan)
-        g = module.sharing_k1_terms(base)
+        g = refinement.sharing_k1_terms(base)
     assert g == base and g is not base and g.colors is base.colors
     assert (g.n, g.color_count) == (base.n, base.color_count) == (8, 4)
     family = [g, individualize_sequence(g, [0]), individualize_sequence(g, [3, 1])]
     terms = g._k1_terms
-    assert isinstance(terms, (module._PairFields, module._PairIndicators))
+    assert isinstance(terms, (refinement._PairFields, refinement._PairIndicators))
     assert base._k1_terms is None
     for h, cfg in itertools.product(family, (K1, K2)):
         refine(h, cfg)

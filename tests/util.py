@@ -1,11 +1,10 @@
 """Shared helpers for randomized tests. Everything is seeded and deterministic."""
 
-import importlib
 from itertools import product
 
 import numpy as np
 
-from autorbits import EdgeColoredGraph, Permutation, from_undirected_edges
+from autorbits import EdgeColoredGraph, Permutation, from_undirected_edges, refinement
 
 # Verified asymmetric graph on 6 vertices (brute force finds only the identity).
 RIGID6_EDGES = [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3)]
@@ -117,17 +116,16 @@ def per_entry_k1_sums(g):
     """Reference for the k=1 sums of ``refine``: a_j hashed afresh for every
     pair (u, w), the diagonal included, and S_j(u) = sum_w a_j(c(u,w),
     c(w,u)) h_j(id w) summed in uint64. It takes the place of the k=1 entry
-    of the refine module's ``_DIMENSIONS``.
+    of the refinement module's ``_DIMENSIONS``.
     """
-    module = importlib.import_module("autorbits.refine")
     colors = g.colors.view(np.uint64)
     code = colors.copy()
-    module._mix(code, np.empty_like(code))
+    refinement._mix(code, np.empty_like(code))
     code ^= colors.T
-    pair = module._fields(code, module._A).astype(np.uint64)
+    pair = refinement._fields(code, refinement._A).astype(np.uint64)
 
     def sums(ids, table):
-        h = table[: module._FIELDS, ids].astype(np.uint64)
+        h = table[: refinement._FIELDS, ids].astype(np.uint64)
         return (pair * h[:, None, :]).sum(axis=2).T
 
     return sums
