@@ -28,9 +28,12 @@ print("P3, k=1 classes:", refine(path_graph(3), k1).vertex_partition.classes)
 # A complete graph gives refinement nothing to work with...
 print("K4, k=1 classes:", refine(complete_graph(4), k1).vertex_partition.classes)
 
-# ...until somebody gets individualized.
-print("K4 with vertex 0 fixed:", refine(individualize_sequence(complete_graph(4), [0]), k1).vertex_partition.classes)
-print("K4 with 0 and 1 fixed: ", refine(individualize_sequence(complete_graph(4), [0, 1]), k1).vertex_partition.classes)
+# ...until somebody gets individualized. refine takes the fixes directly
+# and gives what refining the individualized graph gives.
+print("K4 with vertex 0 fixed:", refine(complete_graph(4), k1, [0]).vertex_partition.classes)
+print("K4 with 0 and 1 fixed: ", refine(complete_graph(4), k1, [0, 1]).vertex_partition.classes)
+same = refine(individualize_sequence(complete_graph(4), [0, 1]), k1)
+print("  the same from the individualized graph:", same == refine(complete_graph(4), k1, [0, 1]))
 
 # Fixing one vertex of C5 reveals the orbit structure of its stabilizer:
 # the two neighbors are interchangeable, and so are the two far vertices.

@@ -22,7 +22,8 @@ from .errors import InternalInvariantError, NotDiscreteError
 from .graphs import Permutation, apply_permutation, is_automorphism
 from .graphs import disjoint_union  # noqa: F401  (the benchmark tracer wraps engine.disjoint_union)
 from .partitions import OrderedPartition, closure_orbits, partition_join
-from .refinement import RefinementConfig, individualize_sequence, refine, sharing_k1_terms
+from .refinement import RefinementConfig, build_k1_terms, fix_sequence, refine
+from .refinement import individualize_sequence  # noqa: F401  (the benchmark tracer wraps engine.individualize_sequence)
 
 # Bound on one run's stage store, counted in stored vertex entries
 # (stages times n). A stored stage is O(n), so this caps the store's memory
@@ -84,15 +85,16 @@ class IsoResult:
 
 class Run:
     """One search over one graph: its config, stats, fixation history and
-    stage store. Every search phase takes a run. At k=1 its stages are
-    individualizations of one copy of the graph that carries its k=1 pair
-    terms, so they are built once per run and freed with it; at k >= 2
-    every k=1 pass builds and frees its own."""
+    stage store. Every search phase takes a run. A stage is refined from
+    the graph and its fixes, so at k=1 no individualized copy of the graph
+    is made. At k=1 the run builds the graph's k=1 pair terms once and
+    passes them to every refine; at k >= 2 every k=1 pass builds and frees
+    its own."""
 
     def __init__(self, g, cfg=None, stats=None):
         self.g = g
         self.cfg = cfg or RefinementConfig()
-        self._family = sharing_k1_terms(g) if self.cfg.k == 1 else g
+        self._k1_terms = build_k1_terms(g) if self.cfg.k == 1 else None
         self.stats = stats if stats is not None else RunStats()
         self.history = np.zeros(g.n, dtype=np.int64)
         self._stages = {}
@@ -119,25 +121,24 @@ class Run:
         costs about as much as the k=2 refine after it: 0.55-1.2 of it at
         n = 16, 0.1-0.2 at n = 64 (K_n, C_n and G(n, 1/2)).
         """
-        fixes = tuple(int(v) for v in fixes)
+        fixes = fix_sequence(fixes, self.g.n)
         out = self._stages.pop(fixes, None)
         if out is None:
             self.stats.refine_calls += 1
-            coloring = self._refine(individualize_sequence(self._family, fixes))
-            out = StageGraph(base=self.g, fixes=fixes, coloring=coloring)
+            out = StageGraph(base=self.g, fixes=fixes, coloring=self._refine(fixes))
             capacity = max(1, STAGE_STORE_VERTICES // self.g.n)
             if len(self._stages) >= capacity:
                 del self._stages[next(iter(self._stages))]
         self._stages[fixes] = out
         return out
 
-    def _refine(self, h):
+    def _refine(self, fixes):
         k = self.cfg.k
-        if k >= 2 and h.n ** (k - 1) >= ONE_WL_FIRST:
-            coloring = refine(h, _ONE_WL)
+        if k >= 2 and self.g.n ** (k - 1) >= ONE_WL_FIRST:
+            coloring = refine(self.g, _ONE_WL, fixes)
             if coloring.is_discrete():
                 return coloring
-        return refine(h, self.cfg)
+        return refine(self.g, self.cfg, fixes, self._k1_terms)
 
 
 def _candidate_order(coloring, history, exclude=()):

@@ -6,11 +6,6 @@ graphs are equal only when their matrices are, and ``color_count`` is the
 largest id + 1. Input ids must lie in [0, 2**62); the fresh ids derived
 from a graph's (individualization, the tag of a disjoint union) may pass
 that bound and still fit in int64.
-
-A graph also has a private slot, ``_k1_terms``: the k=1 pair terms of the
-refine module. It is None except on the graphs that
-``refine.sharing_k1_terms`` makes and their individualizations, where it
-is set once, when the graph is made, and never changed.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ def covers_once(values, n):
 class EdgeColoredGraph:
     """Immutable dense color matrix over ordered vertex pairs."""
 
-    __slots__ = ("colors", "n", "color_count", "_k1_terms")
+    __slots__ = ("colors", "n", "color_count")
 
     def __init__(self, colors):
         mat = int_array(colors)
@@ -68,7 +63,6 @@ class EdgeColoredGraph:
         self.colors = mat
         self.n = int(mat.shape[0])
         self.color_count = int(mat.max()) + 1
-        self._k1_terms = None
 
     def __eq__(self, other):
         if not isinstance(other, EdgeColoredGraph):

@@ -39,15 +39,15 @@ their ids form the top block of every round's ids, and the vertex classes
 are those ids shifted down to 0.
 
 k=1 pair terms. The w = u term of S_j(u), a_j(c(u,u), c(u,u)) * h_j(id(u)),
-takes n pair hashes of the refined graph's own diagonal. The w != u part
-reads only off-diagonal colors, so it is the same for a graph and every
-individualization of it. One rule says where it lives: a k=1 search
-shares it, and every other refine builds its own and frees it on return.
-``sharing_k1_terms`` builds it at once from the base graph, which alone
-chooses its form, and every individualization carries it unchanged; an
-engine run makes such a graph only at k=1. So no k=1 terms are held
-during a refine at k >= 2, and a refine changes nothing it can reach from
-its argument. The terms take one of two forms.
+takes n pair hashes of the individualized diagonal, the only entries in
+which a stage differs from its base graph. The w != u part reads only
+off-diagonal colors, so it is the same for a graph and every
+individualization of it. ``build_k1_terms`` builds it from the base graph,
+which alone chooses its form, and the terms hold that graph: ``refine``
+reads them for it alone. An engine run at k=1 builds them once and passes
+them to the refine of each of its stages; a direct refine, and the k=1
+pass of a k >= 2 run, builds its own and frees them on return. So no k=1
+terms are held during a refine at k >= 2. The terms take one of two forms.
 
 - Indicators, when the graph they are built from has at least
   _INDICATOR_ORDER vertices, color ids below 16 and at most two distinct
@@ -79,7 +79,6 @@ graph.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import itertools
 import struct
@@ -88,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graphs import EdgeColoredGraph
+from .graphs import EdgeColoredGraph, int_array
 from .partitions import OrderedPartition
 
 # Hash fields per round, bits per field, and the largest order whose k=1
@@ -197,20 +196,38 @@ def _id_hashes(count):
     return table
 
 
-def refine(g, cfg=None):
-    """Stable coloring of g under the configured stabilization dimension.
+def refine(g, cfg=None, fixes=(), k1_terms=None):
+    """Stable coloring of g with fixes individualized, under the configured
+    stabilization dimension.
 
-    Raises ResourceLimitError at k=1 or k=2 when g has more than 8192
-    vertices, where the float64 round sums stop being exact.
+    The result is that of ``refine(individualize_sequence(g, fixes), cfg)``,
+    class map, rounds and trace digest alike. At k=1 no individualized
+    graph is built: only its diagonal is read. At k >= 2 the atoms read the
+    individualized matrix, so it is built. k1_terms, when given, are
+    ``build_k1_terms(g)``, read at k=1 in place of terms of the refine's
+    own. Raises ValueError when they were built from another graph or when
+    fixes are not distinct vertices of g, and ResourceLimitError at k=1 or
+    k=2 when g has more than 8192 vertices, where the float64 round sums
+    stop being exact.
     """
     cfg = cfg or RefinementConfig()
+    fixes = fix_sequence(fixes, g.n)
+    if k1_terms is not None and k1_terms.graph is not g:
+        raise ValueError("k1_terms were built from another graph")
     if cfg.k < 3 and g.n > _EXACT_ORDER:
         raise ResourceLimitError(
             f"order {g.n} exceeds {_EXACT_ORDER}, the largest whose k={cfg.k} "
             "refinement sums are exact in float64"
         )
-    rows, sums = _atoms(g, cfg.k), _DIMENSIONS[cfg.k](g)
-    trace = hashlib.blake2b(b"T" + _pack(cfg.k, g.n, g.color_count), digest_size=16)
+    if cfg.k >= 2:
+        # The atoms read pair colors, the individualized diagonal's too.
+        g, fixes = individualize_sequence(g, fixes), ()
+    diagonal = g.colors.diagonal().copy()
+    for i, v in enumerate(fixes):
+        diagonal[v] = g.color_count + i
+    rows, sums = _atoms(g, diagonal, cfg.k), _DIMENSIONS[cfg.k](g, diagonal, k1_terms)
+    # The header packs the individualized graph's color count.
+    trace = hashlib.blake2b(b"T" + _pack(cfg.k, g.n, g.color_count + len(fixes)), digest_size=16)
     # The atoms are round 0; rounds_used counts the rounds after them.
     class_count, rounds = 0, -1
     while True:
@@ -227,23 +244,25 @@ def refine(g, cfg=None):
             break
         rows = np.column_stack((ids.astype(np.uint64), sums(ids, _id_hashes(count))))
     # Cell (v, ..., v) sits at index v * (1 + n + ... + n^(k-1)).
-    diagonal = ids[:: sum(g.n**i for i in range(cfg.k))]
+    vertex_ids = ids[:: sum(g.n**i for i in range(cfg.k))]
     return StableColoring(
-        vertex_partition=OrderedPartition(diagonal - diagonal.min()),
+        vertex_partition=OrderedPartition(vertex_ids - vertex_ids.min()),
         rounds_used=rounds,
         trace_digest=trace.digest(),
     )
 
 
-def _atoms(g, k):
+def _atoms(g, diagonal, k):
     """First-round rows of the n^k cells (x_1, ..., x_k) of V^k, in C order.
 
     A cell's row is its atomic type: whether x_i = x_j for each position
     pair i < j, the color c(x_i, x_j) for each ordered pair i != j, and the
     vertex colors c(x_i, x_i). Only the diagonal cells (v, ..., v) have
-    every equality set, so they rank last.
+    every equality set, so they rank last. The vertex colors are the given
+    diagonal; g's pair colors are read only at k >= 2, where g's diagonal
+    must be the given one.
     """
-    n = g.n
+    n = diagonal.size
 
     def along(a, *axes):
         # a's axes laid along the given axes of the cell array, as a view.
@@ -253,7 +272,7 @@ def _atoms(g, k):
     columns = [along(x, i) == along(x, j) for i, j in itertools.combinations(range(k), 2)]
     columns += [along(g.colors if i < j else g.colors.T, i, j)
                 for i, j in itertools.permutations(range(k), 2)]
-    columns += [along(g.colors.diagonal(), i) for i in range(k)]
+    columns += [along(diagonal, i) for i in range(k)]
     rows = np.empty((n,) * k + (len(columns),), dtype=np.int64)
     for col, values in enumerate(columns):
         rows[..., col] = values
@@ -356,24 +375,23 @@ def _pair_codes(g):
     return code, b, p
 
 
-def _build_k1_terms(g):
-    """Off-diagonal k=1 pair terms of g, in the indicator form when g is
-    large and has at most two pair codes and in the hashed form otherwise."""
-    if g.n >= _INDICATOR_ORDER and g.color_count <= _CODE_BASE:
-        codes = _pair_codes(g)
-        if codes is not None:
-            return _PairIndicators(*codes)
-    return _PairFields(g)
+def build_k1_terms(g):
+    """Off-diagonal k=1 pair terms of g, for ``refine(g, ..., k1_terms=)``:
+    in the indicator form when g is large and has at most two pair codes,
+    and in the hashed form otherwise. They hold g as ``graph``, and refine
+    reads them for g alone."""
+    codes = g.n >= _INDICATOR_ORDER and g.color_count <= _CODE_BASE and _pair_codes(g)
+    terms = _PairIndicators(*codes) if codes else _PairFields(g)
+    terms.graph = g
+    return terms
 
 
-def _setup_k1_diagonal(g):
-    # Only the w = u term is hashed on every refine (see sharing_k1_terms).
-    terms = _build_k1_terms(g) if g._k1_terms is None else g._k1_terms
-    diagonal = g.colors.diagonal()
-    return terms.sums(_pair_fields(diagonal, diagonal))
+def _setup_k1(g, diagonal, k1_terms):
+    # Only the w = u term is hashed on every refine (see build_k1_terms).
+    return (k1_terms or build_k1_terms(g)).sums(_pair_fields(diagonal, diagonal))
 
 
-def _setup_k2(g):
+def _setup_k2(g, diagonal, k1_terms):
     def sums(ids, table):
         # H_j[u, w] = h_j(id(u, w)) and S'_j[w, v] = s_j(id(w, v)).
         h, s = table[: 2 * _FIELDS, ids].reshape(2, _FIELDS, g.n, g.n)
@@ -382,7 +400,7 @@ def _setup_k2(g):
     return sums
 
 
-def _setup_k3(g):
+def _setup_k3(g, diagonal, k1_terms):
     def sums(ids, table):
         # Substitute x into each of the three positions of (u, v, w).
         h, s, t = table[:, ids].astype(np.uint64).reshape(3, _FIELDS, g.n, g.n, g.n)
@@ -391,9 +409,23 @@ def _setup_k3(g):
     return sums
 
 
-# Each setup returns sums(ids, table): each cell's P hashed multiset sums as
-# uint64 columns, from the id hash table of _id_hashes.
-_DIMENSIONS = {1: _setup_k1_diagonal, 2: _setup_k2, 3: _setup_k3}
+# Each setup takes refine's graph, the individualized diagonal and the k=1
+# terms or None, and returns sums(ids, table): each cell's P hashed
+# multiset sums as uint64 columns, from the id hash table of _id_hashes.
+_DIMENSIONS = {1: _setup_k1, 2: _setup_k2, 3: _setup_k3}
+
+
+def fix_sequence(fixes, n):
+    """fixes as a tuple of ints; ValueError unless they are distinct vertices
+    of a graph of order n. A bool counts as an integer, a float or a string
+    does not (see ``graphs.int_array``)."""
+    # A tuple of ints, as the engine passes, is taken as it is.
+    if type(fixes) is not tuple or not all(type(v) is int for v in fixes):
+        values = int_array(list(fixes))
+        fixes = tuple(values.tolist()) if values.ndim == 1 else None
+    if fixes is None or not all(0 <= v < n for v in fixes) or len(set(fixes)) < len(fixes):
+        raise ValueError(f"fixes are not distinct vertices of a graph of order {n}")
+    return fixes
 
 
 def individualize_sequence(g, fixes):
@@ -403,30 +435,13 @@ def individualize_sequence(g, fixes):
     existing id and construction keeps ids as given, so the result does
     not depend on folding one-vertex steps. A fresh id may pass the
     constructor's 2**62 bound on input ids, and still fits in int64.
-    Fixes must be distinct vertices of g. The result carries g's k=1 pair
-    terms, the same object, when g carries any (see ``sharing_k1_terms``).
+    Fixes must be distinct vertices of g. ``refine(g, cfg, fixes)`` gives
+    the result's stable coloring, at k=1 without building the result.
     """
-    seen = set()
-    for v in fixes:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for order {g.n}")
-        if v in seen:
-            raise ValueError(f"duplicate fix vertex {v}")
-        seen.add(v)
+    fixes = fix_sequence(fixes, g.n)
     if not fixes:
         return g
     mat = g.colors.copy()
     for i, v in enumerate(fixes):
         mat[v, v] = g.color_count + i
-    h = EdgeColoredGraph.derived(mat)
-    h._k1_terms = g._k1_terms
-    return h
-
-
-def sharing_k1_terms(g):
-    """A graph equal to g that carries g's k=1 pair terms, built now in the
-    form g chooses and never changed: every individualization of it and
-    every k=1 refine of those reads them (see the module docstring)."""
-    h = copy.copy(g)
-    h._k1_terms = _build_k1_terms(g)
-    return h
+    return EdgeColoredGraph.derived(mat)

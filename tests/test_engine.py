@@ -108,9 +108,9 @@ def test_stage_store_refines_each_distinct_tuple_once(monkeypatch):
     calls = []
     real_refine = engine.refine
 
-    def counting_refine(g, cfg=None):
+    def counting_refine(g, cfg=None, *rest):
         calls.append(g)
-        return real_refine(g, cfg)
+        return real_refine(g, cfg, *rest)
 
     monkeypatch.setattr(engine, "refine", counting_refine)
     run = Run(petersen_graph(), K2)
@@ -120,49 +120,64 @@ def test_stage_store_refines_each_distinct_tuple_once(monkeypatch):
     assert len(calls) == len(set(asked)) == run.stats.refine_calls
 
 
-def test_k1_pair_terms_are_built_once_per_run(monkeypatch):
+def _k1_term_builds(monkeypatch):
+    """Graphs that k=1 pair terms are built from, by a run or by a refine."""
     builds = []
-    real_build = refinement._build_k1_terms
+    real_build = refinement.build_k1_terms
 
     def spy(g):
-        builds.append(g.n)
+        builds.append(g)
         return real_build(g)
 
-    monkeypatch.setattr(refinement, "_build_k1_terms", spy)
+    for module in (engine, refinement):
+        monkeypatch.setattr(module, "build_k1_terms", spy)
+    return builds
+
+
+def _terms_passed(monkeypatch):
+    """(k, k1_terms) of every refine the engine calls."""
+    passed = []
+    real_refine = engine.refine
+
+    def spy(g, cfg=None, fixes=(), k1_terms=None):
+        passed.append((cfg.k, k1_terms))
+        return real_refine(g, cfg, fixes, k1_terms)
+
+    monkeypatch.setattr(engine, "refine", spy)
+    return passed
+
+
+def test_k1_pair_terms_are_built_once_per_run(monkeypatch):
+    builds, passed = _k1_term_builds(monkeypatch), _terms_passed(monkeypatch)
     g = complete_graph(40)
     system = compute_orbits(g, K1)
-    assert system.stats.refine_calls > 1 and builds == [40]
+    assert system.stats.refine_calls > 1 and len(builds) == 1 and builds[0] is g
+    # Every stage is refined with the run's terms.
+    assert len(passed) == system.stats.refine_calls
+    assert all(terms is passed[0][1] and terms.graph is g for _, terms in passed)
     builds.clear()
-    assert iso_test(g, complete_graph(40), K1).verdict == ISOMORPHIC
-    assert builds == [40, 40]
-    # A graph the caller holds keeps no terms: a direct refine builds its own.
+    h = complete_graph(40)
+    assert iso_test(g, h, K1).verdict == ISOMORPHIC
+    assert len(builds) == 2 and builds[0] is g and builds[1] is h
+    # A direct refine builds its own terms, and a graph holds none.
     builds.clear()
     refine(g, K1)
-    refine(g, K1)
-    assert builds == [40, 40] and g._k1_terms is None
+    refine(g, K1, [0])
+    assert len(builds) == 2
+    assert EdgeColoredGraph.__slots__ == ("colors", "n", "color_count")
 
 
 def test_k2_run_builds_k1_terms_per_pass_and_keeps_none(monkeypatch):
     monkeypatch.setattr(engine, "ONE_WL_FIRST", 1)
-    builds, refined = [], []
-    real_build, real_refine = refinement._build_k1_terms, engine.refine
-
-    def spy_build(g):
-        builds.append(g.n)
-        return real_build(g)
-
-    def spy_refine(g, cfg=None):
-        refined.append((cfg.k, g))
-        return real_refine(g, cfg)
-
-    monkeypatch.setattr(refinement, "_build_k1_terms", spy_build)
-    monkeypatch.setattr(engine, "refine", spy_refine)
-    system = compute_orbits(petersen_graph(), K2)
+    builds, passed = _k1_term_builds(monkeypatch), _terms_passed(monkeypatch)
+    g = petersen_graph()
+    system = compute_orbits(g, K2)
     assert system.status == CERTIFIED
-    k1_passes = [k for k, _ in refined].count(1)
+    k1_passes = [k for k, _ in passed].count(1)
     assert k1_passes == system.stats.refine_calls > 1
-    assert builds == [10] * k1_passes
-    assert all(g._k1_terms is None for _, g in refined)
+    # A k >= 2 run passes no terms, so each k=1 pass builds and frees its own.
+    assert all(terms is None for _, terms in passed)
+    assert len(builds) == k1_passes and all(b is g for b in builds)
 
 
 def test_stored_stage_equals_a_fresh_refine():
@@ -178,9 +193,9 @@ def _refines_by_k(monkeypatch):
     calls = []
     real_refine = engine.refine
 
-    def spy(g, cfg=None):
+    def spy(g, cfg=None, *rest):
         calls.append(cfg.k)
-        return real_refine(g, cfg)
+        return real_refine(g, cfg, *rest)
 
     monkeypatch.setattr(engine, "refine", spy)
     return calls

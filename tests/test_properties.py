@@ -1,9 +1,9 @@
 """Property tests of refine, iso_test and compute_orbits on random small
 graphs, against brute force and against the engine with its k=1 gate
-forced, and of the two forms of the k=1 pair terms against a per-entry
-reference."""
+forced, of the two forms of the k=1 pair terms against a per-entry
+reference, and of refining fixes against refining the individualized
+graph."""
 
-import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -214,49 +214,67 @@ def k1_cases(draw):
         g = EdgeColoredGraph(np.array(cells, dtype=np.int64).reshape(n, n))
     order = draw(st.permutations(range(n)))
     fixes = order[: draw(st.integers(0, min(n, 4)))]
-    block = draw(st.sampled_from((1, 5, 1 << 16)))
-    return g, fixes, block, draw(st.booleans())
+    return g, fixes, draw(st.sampled_from((1, 5, 1 << 16)))
 
 
-def _k1_answer(coloring):
+def _refine_answer(coloring):
     return coloring.vertex_partition.class_of.tolist(), coloring.rounds_used, coloring.trace_digest
 
 
 def _two_codes_high_loops():
-    # A 2-code graph whose vertex colors reach id 13: three fixes take its
-    # individualization's color count to 17, past the indicator form's 16.
+    # A 2-code graph whose vertex colors reach id 13: the base graph gets
+    # the indicator form, and three fixes take the individualized diagonal
+    # to ids 14-16, past the ids that form codes off the diagonal.
     mat = cycle_graph(9).colors.copy()
     np.fill_diagonal(mat, [13, 0, 5, 0, 13, 2, 0, 0, 7])
-    return EdgeColoredGraph(mat), [4, 0, 7], 1 << 16, False
+    return EdgeColoredGraph(mat), [4, 0, 7], 1 << 16
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(k1_cases())
 @example(_two_codes_high_loops())
 def test_both_k1_pair_term_forms_match_the_per_entry_reference(case):
-    g, fixes, block, base_first = case
+    g, fixes, block = case
     c = g.colors.tolist()
     codes = {(c[u][w], c[w][u]) for u in range(g.n) for w in range(g.n) if u != w}
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(refinement._DIMENSIONS, 1, per_entry_k1_sums)
-        want = [_k1_answer(refine(h, K1)) for h in (g, individualize_sequence(g, fixes))]
-    for gate, shared in itertools.product((ALWAYS, NEVER), (True, False)):
+        want = [_refine_answer(refine(h, K1)) for h in (g, individualize_sequence(g, fixes))]
+    for gate in (ALWAYS, NEVER):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(refinement, "_INDICATOR_ORDER", gate)
             patch.setattr(refinement, "_BLOCK", block)
-            fresh = refinement.sharing_k1_terms(g) if shared else EdgeColoredGraph(g.colors)
-            graphs = [fresh, individualize_sequence(fresh, fixes)]
-            if not base_first:
-                graphs.reverse()
-            got = [_k1_answer(refine(h, K1)) for h in graphs]
-            if not base_first:
-                got.reverse()
-            assert got == want
-            if shared:
-                # The base graph alone chooses the form, whichever graph
-                # of the family is refined first.
-                indicators = gate == ALWAYS and len(codes) <= 2 and g.color_count <= 16
-                assert isinstance(fresh._k1_terms, refinement._PairIndicators) == indicators
-                assert all(h._k1_terms is fresh._k1_terms for h in graphs)
-            else:
-                assert fresh._k1_terms is None
+            terms = refinement.build_k1_terms(g)
+            # The base graph alone chooses the form.
+            indicators = gate == ALWAYS and len(codes) <= 2 and g.color_count <= 16
+            assert isinstance(terms, refinement._PairIndicators) == indicators
+            for given in (None, terms):
+                assert [_refine_answer(refine(g, K1, f, given)) for f in ((), fixes)] == want
+
+
+@st.composite
+def fix_cases(draw):
+    k = draw(st.sampled_from((1, 2, 3)))
+    if k >= 2 and draw(st.booleans()):
+        # A small colored digraph, its diagonal drawn like every other cell.
+        n = draw(st.integers(1, 6))
+        cells = draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+        g = EdgeColoredGraph(np.array(cells, dtype=np.int64).reshape(n, n))
+        fixes = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    else:
+        g, fixes, _ = draw(k1_cases())
+    return g, fixes, RefinementConfig(k=k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fix_cases())
+def test_refine_of_fixes_matches_the_individualized_graph(case):
+    g, fixes, cfg = case
+    want = _refine_answer(refine(individualize_sequence(g, fixes), cfg))
+    terms = engine.Run(g, K1)._k1_terms
+    assert _refine_answer(refine(g, cfg, fixes)) == want
+    assert _refine_answer(refine(g, cfg, fixes, terms)) == want
+    # Terms belong to the graph object they were built from, not to an
+    # equal matrix.
+    with pytest.raises(ValueError, match="another graph"):
+        refine(EdgeColoredGraph(g.colors), cfg, fixes, terms)

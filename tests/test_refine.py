@@ -9,6 +9,7 @@ from autorbits import (
     OrderedPartition,
     RefinementConfig,
     ResourceLimitError,
+    Run,
     apply_permutation,
     brute_orbits,
     complete_graph,
@@ -101,6 +102,23 @@ def test_fix_sequence_rejects_duplicates():
         individualize_sequence(complete_graph(4), [0, 0])
     with pytest.raises(ValueError):
         individualize_sequence(complete_graph(4), [5])
+
+
+def test_fixes_are_distinct_integer_vertices_everywhere():
+    # A bool counts as an integer, as in the public constructors; a float,
+    # a string or a nested list is refused by refine, individualize_sequence
+    # and Run.stage alike, not read as an index or truncated.
+    g = cycle_graph(6)
+    assert individualize_sequence(g, [True]) == individualize_sequence(g, [1])
+    assert Run(g, K1).stage((True,)).fixes == (1,)
+    calls = (
+        lambda fixes: individualize_sequence(g, fixes),
+        lambda fixes: refine(g, K1, fixes),
+        lambda fixes: Run(g, K1).stage(fixes),
+    )
+    for call, fixes in itertools.product(calls, ([1.5], (1.7,), ["1"], [[0, 1]], [6], [-1], [2, 2])):
+        with pytest.raises(ValueError):
+            call(fixes)
 
 
 def test_fix_order_within_singleton_classes_is_partition_neutral():
@@ -250,28 +268,3 @@ def test_order_above_the_exact_bound_is_a_resource_limit(monkeypatch):
             refine(cycle_graph(4), cfg)
     # k=3 sums wrap in uint64 and have no bound.
     assert refine(cycle_graph(4), K3).vertex_partition.classes == ((0, 1, 2, 3),)
-
-
-def test_shared_k1_terms_are_fixed_for_the_whole_family():
-    base = individualize_sequence(cycle_graph(8), [5])
-
-    def rescan(graph, mat):
-        raise AssertionError("the sharing graph rescans the matrix")
-
-    # The sharing graph takes base's fields as they are.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(EdgeColoredGraph, "_freeze", rescan)
-        g = refinement.sharing_k1_terms(base)
-    assert g == base and g is not base and g.colors is base.colors
-    assert (g.n, g.color_count) == (base.n, base.color_count) == (8, 4)
-    family = [g, individualize_sequence(g, [0]), individualize_sequence(g, [3, 1])]
-    terms = g._k1_terms
-    assert isinstance(terms, (refinement._PairFields, refinement._PairIndicators))
-    assert base._k1_terms is None
-    for h, cfg in itertools.product(family, (K1, K2)):
-        refine(h, cfg)
-        assert all(f._k1_terms is terms for f in family)
-    # Refining with shared terms gives what a graph's own terms give.
-    h = individualize_sequence(base, [3, 1])
-    assert refine(family[2], K1).trace_digest == refine(h, K1).trace_digest
-    assert h._k1_terms is None

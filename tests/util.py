@@ -112,12 +112,15 @@ def exact_wl(g, k):
     return {frozenset(members) for members in classes.values()}, rounds
 
 
-def per_entry_k1_sums(g):
+def per_entry_k1_sums(g, diagonal, k1_terms):
     """Reference for the k=1 sums of ``refine``: a_j hashed afresh for every
     pair (u, w), the diagonal included, and S_j(u) = sum_w a_j(c(u,w),
     c(w,u)) h_j(id w) summed in uint64. It takes the place of the k=1 entry
-    of the refinement module's ``_DIMENSIONS``.
+    of the refinement module's ``_DIMENSIONS``, and reads g's own matrix,
+    not the diagonal or terms refine passes: refine an individualized graph
+    with no fixes under it.
     """
+    assert np.array_equal(diagonal, g.colors.diagonal()), "refine with no fixes"
     colors = g.colors.view(np.uint64)
     code = colors.copy()
     refinement._mix(code, np.empty_like(code))
