@@ -262,7 +262,7 @@ def _atoms(g, diagonal, k):
     diagonal; g's pair colors are read only at k >= 2, where g's diagonal
     must be the given one.
     """
-    n = diagonal.size
+    n = g.n
 
     def along(a, *axes):
         # a's axes laid along the given axes of the cell array, as a view.
