@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InternalInvariantError, NotDiscreteError
+from .errors import InternalInvariantError, NotDiscreteError, SizeMismatchError
 from .graphs import Permutation, apply_permutation, is_automorphism
 from .graphs import disjoint_union  # noqa: F401  (the benchmark tracer wraps engine.disjoint_union)
 from .partitions import OrderedPartition, closure_orbits, partition_join
@@ -84,19 +84,19 @@ class IsoResult:
 
 
 class Run:
-    """One search over one graph: its config, stats, fixation history and
-    stage store. Every search phase takes a run. A stage is refined from
-    the graph and its fixes, so at k=1 no individualized copy of the graph
-    is made. At k=1 the run builds the graph's k=1 pair terms once and
-    passes them to every refine; at k >= 2 every k=1 pass builds and frees
-    its own."""
+    """One search over one graph: its config, stats and stage store. Every
+    search phase takes a run, and its result depends only on the run's
+    graph, config and its own arguments, so a repeated call recalls its
+    stages from the store. A stage is refined from the graph and its
+    fixes, so at k=1 no individualized copy of the graph is made. At k=1
+    the run builds the graph's k=1 pair terms once and passes them to every
+    refine; at k >= 2 every k=1 pass builds and frees its own."""
 
     def __init__(self, g, cfg=None, stats=None):
         self.g = g
         self.cfg = cfg or RefinementConfig()
         self._k1_terms = build_k1_terms(g) if self.cfg.k == 1 else None
         self.stats = stats if stats is not None else RunStats()
-        self.history = np.zeros(g.n, dtype=np.int64)
         self._stages = {}
 
     def stage(self, fixes):
@@ -141,36 +141,29 @@ class Run:
         return refine(self.g, self.cfg, fixes, self._k1_terms)
 
 
-def _candidate_order(coloring, history, exclude=()):
-    """Vertices in non-singleton classes, least often fixed first; ties go
-    to the smaller class, then the earlier class, then the smaller vertex."""
-    keys = sorted(
-        (int(history[v]), len(members), cid, v)
-        for cid, members in enumerate(coloring.vertex_partition.classes)
-        if len(members) > 1
-        for v in members
-        if v not in exclude
-    )
-    return [key[-1] for key in keys]
+def _candidate_order(coloring, exclude=()):
+    """Vertices of non-singleton classes, not in exclude: the smaller class
+    first, then the earlier class (the sort is stable), then the smaller
+    vertex."""
+    classes = sorted(coloring.vertex_partition.classes, key=len)
+    return [v for members in classes if len(members) > 1 for v in members if v not in exclude]
 
 
 def _extend(run, stage, keep, exclude=(), first=None):
     """Greedily lengthen stage's fix sequence while keep allows it.
 
     Each step fixes the first candidate (first, when given, is tried before
-    all others at the first step) whose one-vertex extension satisfies keep,
-    and counts it in the run's history. Returns the stage at which no
-    candidate is kept.
+    all others at the first step) whose one-vertex extension satisfies keep.
+    Returns the stage at which no candidate is kept.
     """
     while True:
-        candidates = _candidate_order(stage.coloring, run.history, exclude)
+        candidates = _candidate_order(stage.coloring, exclude)
         if first is not None:
             candidates = [first] + [c for c in candidates if c != first]
             first = None
         for y in candidates:
             trial = run.stage(stage.fixes + (y,))
             if keep(trial):
-                run.history[y] += 1
                 stage = trial
                 break
         else:
@@ -283,9 +276,13 @@ def verify_merge(run, q_partition, class_a, class_b):
     step, one co-fixed vertex pair per level. The descent is cut at depth
     ceil(log2 n) + 1 and after max(64, 8 n) nodes. Returns a verified
     witness or None; None is *not* a proof that the classes are separate.
+    q_partition must be a partition of run.g's vertices (SizeMismatchError
+    otherwise), and the two classes distinct ids in [0, class_count).
     """
-    if class_a == class_b:
-        raise ValueError("classes to merge must be distinct")
+    if q_partition.n != run.g.n:
+        raise SizeMismatchError("partition size does not match graph order")
+    if class_a == class_b or not all(0 <= c < q_partition.class_count for c in (class_a, class_b)):
+        raise ValueError(f"classes to merge must be distinct ids in [0, {q_partition.class_count})")
     o1 = q_partition.classes[class_a][0]
     o2 = q_partition.classes[class_b][0]
 
@@ -386,6 +383,12 @@ def _merge_candidates(q, stable, attempted):
     return pairs
 
 
+def _check_budget(budget):
+    """ValueError unless budget is None or an integer >= 0 (a bool counts)."""
+    if budget is not None and not (isinstance(budget, (int, np.integer)) and budget >= 0):
+        raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
+
+
 def compute_orbits(g, cfg=None, budget=None):
     """Accumulate an automorphic partition until it meets the stable coloring.
 
@@ -396,11 +399,14 @@ def compute_orbits(g, cfg=None, budget=None):
     (sandwich certificate). Otherwise the run ends lower_bound, either when
     budget iterations are spent (default n - 1; budget 0 runs none) or when
     class-count - 1 iterations in a row leave the partition unchanged.
+    budget must be None or an integer >= 0. Each verified generator is
+    listed once, in the order it was first found.
     """
+    _check_budget(budget)
     run = Run(g, cfg)
     stable = run.stage(()).coloring.vertex_partition
     q = OrderedPartition.singletons(g.n)
-    generators = []
+    generators = {}
     attempted = set()
     max_iters = budget if budget is not None else max(1, g.n - 1)
     seed_ptr = 0
@@ -414,7 +420,7 @@ def compute_orbits(g, cfg=None, budget=None):
         seed_ptr += 1
         stage = find_regular_stage(run, first_seed=seed)
         part, new_gens = stage_orbits(run, stage)
-        generators.extend(new_gens)
+        generators.update(dict.fromkeys(new_gens))
         q = partition_join(q, part)
         q = _verify_sweep(run, q, stable, generators, attempted)
         if q.same_blocks(before):
@@ -433,13 +439,13 @@ def compute_orbits(g, cfg=None, budget=None):
 
 def _verify_sweep(run, q, stable, generators, attempted):
     """Try verify_merge on candidate class pairs until none succeeds;
-    witnesses are appended to generators."""
+    witnesses are added to the generators dict."""
     while not q.same_blocks(stable):
         for key in _merge_candidates(q, stable, attempted):
             attempted.add(key)
             witness = verify_merge(run, q, int(q.class_of[key[0]]), int(q.class_of[key[1]]))
             if witness is not None:
-                generators.append(witness)
+                generators[witness] = None
                 q = partition_join(q, closure_orbits(run.g.n, [witness]))
                 break
         else:
@@ -459,8 +465,10 @@ def iso_test(g1, g2, cfg=None, budget=None):
     the tried b = phi(a) and preserves traces at every level, and at a
     discrete leaf the class-order bijection is phi itself. A cut gives
     inconclusive. budget is the node budget in verify_tree_nodes units
-    (two per stage pair), by default 128 n.
+    (two per stage pair), by default 128 n; it must be None or an integer
+    >= 0.
     """
+    _check_budget(budget)
     stats = RunStats()
     if g1.n != g2.n or g1.color_count != g2.color_count:
         return IsoResult(NON_ISOMORPHIC, None, None, stats)

@@ -1,4 +1,6 @@
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from autorbits import (
     OrderedPartition,
     RefinementConfig,
     Run,
+    SizeMismatchError,
     apply_permutation,
     brute_iso,
     brute_orbits,
@@ -37,6 +40,7 @@ from autorbits import (
 )
 from autorbits import engine, refinement
 from util import (
+    paley_graph,
     random_permutation,
     random_simple_graph,
     rigid6,
@@ -260,7 +264,7 @@ def test_canonical_form_deterministic_and_relabeling_invariant():
     stage = find_regular_stage(run)
     fixes = stage.fixes
     if not stage.coloring.is_discrete():
-        y = engine._candidate_order(stage.coloring, run.history)[0]
+        y = engine._candidate_order(stage.coloring)[0]
         fixes = fixes + (y,)
     s1 = run.stage(fixes)
     assert canonical_form_discrete(s1) == canonical_form_discrete(run.stage(fixes))
@@ -401,6 +405,32 @@ def test_orbits_deterministic():
     assert a.stats == b.stats
 
 
+@pytest.mark.parametrize("budget", [2.5, -3, "3", np.float64(2.0)])
+def test_budget_must_be_an_integer_at_least_zero(budget):
+    g = cycle_graph(5)
+    with pytest.raises(ValueError):
+        compute_orbits(g, K1, budget=budget)
+    with pytest.raises(ValueError):
+        iso_test(g, g, K1, budget=budget)
+
+
+def test_bool_and_numpy_budgets_count_as_integers():
+    g = cycle_graph(5)
+    assert compute_orbits(g, K1, budget=True).partition == compute_orbits(g, K1, budget=1).partition
+    assert iso_test(g, g, K1, budget=np.int64(64)).verdict == ISOMORPHIC
+
+
+@pytest.mark.parametrize(
+    "g, cfg", [(path_graph(21), K2), (cycle_graph(30), K2), (paley_graph(29), K1)],
+    ids=["p21-k2", "c30-k2", "paley29-k1"],
+)
+def test_each_generator_is_emitted_once(g, cfg):
+    system = compute_orbits(g, cfg)
+    assert system.status == CERTIFIED
+    assert len(set(system.generators)) == len(system.generators)
+    assert closure_orbits(g.n, system.generators).same_blocks(system.partition)
+
+
 def test_budget_zero_means_no_iterations():
     g = complete_graph(4)
     system = compute_orbits(g, K1, budget=0)
@@ -438,6 +468,17 @@ def test_verify_merge_rejects_same_class():
         verify_merge(Run(g, K1), q, 0, 0)
 
 
+def test_verify_merge_validates_its_partition():
+    run = Run(cycle_graph(5), K1)
+    with pytest.raises(SizeMismatchError):
+        verify_merge(run, OrderedPartition.singletons(3), 0, 1)
+    with pytest.raises(SizeMismatchError):
+        verify_merge(run, OrderedPartition.singletons(8), 0, 6)
+    for a, b in ((0, 5), (-1, 0), (2, -5)):
+        with pytest.raises(ValueError):
+            verify_merge(run, OrderedPartition.singletons(5), a, b)
+
+
 def test_verify_merge_separated_by_base_coloring_refines_once():
     g = disjoint_union(cycle_graph(3), path_graph(3))
     q = OrderedPartition.from_classes([[0, 1, 2], [3, 5], [4]])
@@ -449,20 +490,27 @@ def test_verify_merge_separated_by_base_coloring_refines_once():
 # ------------------------------------------------------- candidate order
 
 
-def test_candidate_order_fresh_history():
-    run = Run(complete_graph(4), K1)
-    assert engine._candidate_order(run.stage(()).coloring, run.history)[0] == 0
-
-
-def test_candidate_order_prefers_less_fixed():
-    coloring = Run(complete_graph(4), K1).stage(()).coloring
-    history = np.array([2, 1, 1, 1])
-    assert engine._candidate_order(coloring, history)[0] == 1
+def test_candidate_order_smaller_class_then_earlier_class_then_smaller_vertex():
+    q = OrderedPartition.from_classes([[7, 0, 6], [5, 1], [2], [4, 3]])
+    coloring = SimpleNamespace(vertex_partition=q)
+    assert engine._candidate_order(coloring) == [1, 5, 3, 4, 0, 6, 7]
+    assert engine._candidate_order(coloring, exclude={5, 6}) == [1, 3, 4, 0, 7]
 
 
 def test_candidate_order_discrete_is_empty():
     run = Run(rigid6(), K2)
-    assert engine._candidate_order(run.stage(()).coloring, run.history) == []
+    assert engine._candidate_order(run.stage(()).coloring) == []
+
+
+def test_search_repeats_itself_from_the_stage_store():
+    run = Run(petersen_graph(), K1)
+    stage = find_regular_stage(run, first_seed=0)
+    q = OrderedPartition.singletons(10)
+    witness = verify_merge(run, q, 0, 1)
+    refines = run.stats.refine_calls
+    assert find_regular_stage(run, first_seed=0) is stage
+    assert witness is not None and verify_merge(run, q, 0, 1) == witness
+    assert run.stats.refine_calls == refines
 
 
 # --------------------------------------------------------------- iso_test

@@ -49,6 +49,13 @@ def rook_graph_4x4():
     return from_undirected_edges(16, edges)
 
 
+def paley_graph(q):
+    """Paley graph of a prime q = 1 (mod 4): i ~ j when i - j is a nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    edges = [(i, j) for i in range(q) for j in range(i + 1, q) if (j - i) % q in squares]
+    return from_undirected_edges(q, edges)
+
+
 def shrikhande_graph():
     offsets = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
     edges = []
