@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autorbits import (
+    AutorbitsError,
     InputDocument,
     ParseError,
     ResourceLimitError,
@@ -17,7 +20,8 @@ from autorbits import (
     path_graph,
     sniff_format,
 )
-from util import random_simple_graph
+from autorbits.graphs import COLOR_LIMIT
+from util import random_simple_graph, reference_cdg, reference_dimacs, reference_ws
 
 
 def doc(fmt, text):
@@ -186,6 +190,75 @@ def test_graph6_decodes_like_networkx(n, density):
     assert parse_graph(InputDocument("graph6", line)) == from_undirected_edges(n, ref.edges())
 
 
+def test_rows_after_the_declared_count_are_refused():
+    with pytest.raises(ParseError, match="line 3: expected 1 rows, found more"):
+        parse_window_set(doc("ws", "ws 1 1\n0 1\n2 3\n"))
+    with pytest.raises(ParseError, match="line 2: expected 0 rows, found more"):
+        parse_window_set(doc("ws", "ws 1 0\n0 1\n"))
+    with pytest.raises(ParseError, match="line 4: expected 2 rows, found more"):
+        parse_graph(doc("cdg", "cdg 2 2\n0 1\n1 0\nhello\n"))
+    # Blank lines after the rows are not rows.
+    assert parse_graph(doc("cdg", "cdg 2 2\n0 1\n1 0\n\n \t\n")).n == 2
+
+
+def test_graph6_holds_one_graph():
+    with pytest.raises(ParseError, match="line 1: graph6 payload longer than the declared order"):
+        parse_graph(doc("graph6", "Dhcxxxx\n"))
+    with pytest.raises(ParseError, match="line 2: expected one graph6 line, found more"):
+        parse_graph(doc("graph6", "Dhc\nDhc\n"))
+    with pytest.raises(ParseError, match="line 4: expected one graph6 line"):
+        parse_graph(doc("graph6", ">>graph6<<\nDhc\n\n>>graph6<<Dhc\n"))
+    assert parse_graph(doc("graph6", "\n>>graph6<<\n\nDhc\n\n")) == cycle_graph(5)
+
+
+@pytest.mark.parametrize(("fmt", "text", "error"), [
+    ("cdg", "cdg 2 11\n+0 1_0\n1 0\n", "line 2, col 1: non-numeric entry '+0'"),
+    ("cdg", "cdg 2 11\n0 1_0\n1 0\n", "line 2, col 2: non-numeric entry '1_0'"),
+    ("cdg", "cdg 2 2\n0 1\n-1 0\n", "line 3, col 1: non-numeric entry '-1'"),
+    ("cdg", "cdg +2 2\n0 1\n1 0\n", "line 1: non-numeric cdg header"),
+    ("ws", "ws 1 1\n-1 2\n", "line 2, col 1: non-numeric entry '-1'"),
+    ("ws", "ws 1 -1\n", "line 1: non-numeric ws header"),
+    ("dimacs", "p edge 2 1\ne +1 2\n", "line 2: non-numeric edge endpoints"),
+    ("dimacs", "p edge 2 1\ne 1 -2\n", "line 2: non-numeric edge endpoints"),
+    ("dimacs", "p edge 1_0 0\n", "line 1: non-numeric problem line"),
+])
+def test_numbers_are_ascii_digits(fmt, text, error):
+    parse = parse_window_set if fmt == "ws" else parse_graph
+    with pytest.raises(ParseError, match=re.escape(error)):
+        parse(doc(fmt, text))
+
+
+def test_lines_break_and_tokens_split_as_python_strings_do():
+    # "\r\n" is one break; "\r", "\v", "\f" and "\x1c".."\x1e" are one each;
+    # "\x1f" separates tokens without breaking the line.
+    with pytest.raises(ParseError, match="line 3: expected 2 entries, found 3"):
+        parse_graph(doc("cdg", "cdg 2 2\r\n0 1\r\n1 0\x1f7\r\n"))
+    with pytest.raises(ParseError, match=re.escape("line 5, col 2: entry 9 outside [0, 2)")):
+        parse_graph(doc("cdg", "cdg 2 2\v0 1\f\x1c\r1 9\x1d"))
+    with pytest.raises(ParseError, match="line 4: self-loop at vertex 2"):
+        parse_graph(doc("dimacs", "c x\x1ep edge 2 1\n\re\t2\x1f2\x1e"))
+
+
+def test_numbers_keep_their_value():
+    values = [0, 7, 255, 256, 1000, 65536, 2**31, 10**17 + 3, 10**18 - 1, 10**18, COLOR_LIMIT - 1]
+    text = f"cdg {len(values)} {COLOR_LIMIT}\n" + "".join(
+        " ".join(str(x) for x in values[i:] + values[:i]) + "\n" for i in range(len(values)))
+    g = parse_graph(doc("cdg", text))
+    assert g.colors[0].tolist() == g.colors[:, 0].tolist() == values
+    assert parse_graph(doc("dimacs", "p edge 300 1\ne 299 300\n")).colors[298, 299] == 1
+
+
+def test_long_numbers_keep_their_value():
+    g = parse_graph(doc("cdg", "cdg 1 99999999999999999999\n04611686018427387903\n"))
+    assert int(g.colors[0, 0]) == COLOR_LIMIT - 1
+    with pytest.raises(ParseError, match=re.escape("entry 4611686018427387904 outside")):
+        parse_graph(doc("cdg", "cdg 1 99999999999999999999\n4611686018427387904\n"))
+    ws = parse_window_set(doc("ws", "ws 1 1\n4611686018427387904 9223372036854775807\n"))
+    assert ws.elements == {((1 << 62,), ((1 << 63) - 1,))}
+    with pytest.raises(ParseError, match="expected 99999999999999999999 rows, found 1"):
+        parse_window_set(doc("ws", "ws 1 99999999999999999999\n1 2\n"))
+
+
 def test_cdg_color_beyond_int64_is_a_parse_error():
     with pytest.raises(ParseError, match="line 2, col 1"):
         parse_graph(doc("cdg", "cdg 1 99999999999999999999\n18446744073709551616\n"))
@@ -209,3 +282,83 @@ def test_token_soup_parses_or_raises_a_typed_error(fmt, lead, tokens):
             parse(InputDocument(fmt, payload))
         except (ParseError, ResourceLimitError):
             pass
+
+
+REFERENCE = {"cdg": reference_cdg, "dimacs": reference_dimacs, "ws": reference_ws}
+SEPARATORS = [" ", "\t", "\x1f", " \t "]
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\n \x1f\n", "\r\r\n"]
+LONG = ["9" * 18, "1" + "0" * 18, "4611686018427387903", "4611686018427387904",
+        "9223372036854775808", "18446744073709551616", "9" * 21, "0" * 20 + "1",
+        "1" * 19 + "x", "+" + "1" * 20]
+TOKENS = [tok for tok in SOUP if tok.strip()] + LONG + ["edge", "+0", "12", "13"]
+
+
+@st.composite
+def valid_lines(draw):
+    """A valid CDG, DIMACS or WS file with n <= 12, as lists of tokens."""
+    fmt = draw(st.sampled_from(sorted(REFERENCE)))
+    n = draw(st.integers(1, 12))
+    if fmt == "cdg":
+        c = draw(st.integers(1, 5))
+        rows = draw(st.lists(st.lists(st.integers(0, c - 1), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        return fmt, [["cdg", n, c], *rows]
+    if fmt == "ws":
+        k = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(st.integers(0, 2 * k), min_size=2 * k, max_size=2 * k),
+                             max_size=4))
+        return fmt, [["ws", k, len(rows)], *rows]
+    # A self-loop is drawn now and then.
+    edges = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=12))
+    comments = [["c", "x"]] * draw(st.integers(0, 2))
+    return fmt, [*comments, ["p", "edge", n, len(edges)], *(["e", u, v] for u, v in edges)]
+
+
+@st.composite
+def line_files(draw):
+    """A valid file, perhaps mutated, written with varied whitespace and
+    line breaks, or a token soup; as (format, payload)."""
+    if draw(st.integers(0, 2)) == 0:
+        fmt = draw(st.sampled_from(sorted(REFERENCE)))
+        lead = [LEADS[fmt]] * draw(st.booleans())
+        return fmt, " ".join(lead + draw(st.lists(st.sampled_from(SOUP), max_size=16))).encode("latin-1")
+    fmt, lines = draw(valid_lines())
+    lines = [[str(tok) for tok in line] for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["token", "token", "drop", "line", "copy", "blank"]))
+        if edit == "line" or at == len(lines):
+            lines.insert(at, draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4)))
+        elif edit == "copy":
+            lines.insert(at, list(lines[at]))
+        elif edit == "blank":
+            lines.insert(at, [])
+        elif edit == "drop" or not lines[at]:
+            del lines[at]
+        else:
+            lines[at][draw(st.integers(0, len(lines[at]) - 1))] = draw(st.sampled_from(TOKENS))
+    text = ""
+    for line in lines:
+        lead, sep = draw(st.sampled_from(["", " ", "\t\x1f"])), draw(st.sampled_from(SEPARATORS))
+        text += lead + sep.join(line) + draw(st.sampled_from(BREAKS))
+    return fmt, text.encode("latin-1")
+
+
+def outcome(parse, payload):
+    """The parsed object, or the type and message of the typed error."""
+    try:
+        return parse(payload)
+    except AutorbitsError as exc:
+        assert isinstance(exc, (ParseError, ResourceLimitError)), exc
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(line_files())
+def test_line_formats_parse_like_the_reference(case):
+    fmt, payload = case
+    parse = formats._parse_ws if fmt == "ws" else formats._GRAPH_PARSERS[fmt]
+    with pytest.MonkeyPatch.context() as mp:
+        # No order above 353 reaches an allocation.
+        mp.setattr(formats, "_physical_memory", lambda: 10**6)
+        assert outcome(parse, payload) == outcome(REFERENCE[fmt], payload)

@@ -4,7 +4,16 @@ from itertools import product
 
 import numpy as np
 
-from autorbits import EdgeColoredGraph, Permutation, from_undirected_edges, refinement
+from autorbits import (
+    EdgeColoredGraph,
+    ParseError,
+    Permutation,
+    WindowSet,
+    formats,
+    from_undirected_edges,
+    refinement,
+)
+from autorbits.graphs import COLOR_LIMIT, from_adjacency
 
 # Verified asymmetric graph on 6 vertices (brute force finds only the identity).
 RIGID6_EDGES = [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3)]
@@ -139,3 +148,117 @@ def per_entry_k1_sums(g, diagonal, k1_terms):
         return (pair * h[:, None, :]).sum(axis=2).T
 
     return sums
+
+
+# Reference parsers of the line formats: one Python pass per line and per
+# token, the way the formats module read them before it tokenized with
+# numpy, with its two later rules: a number is all ASCII digits, and a CDG
+# or WS line past the declared rows is refused.
+
+
+def _reference_records(payload):
+    """(line number, fields) for each non-blank line."""
+    try:
+        text = payload.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not ASCII text: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields:
+            yield lineno, fields
+
+
+def _reference_header(records, form):
+    magic = form.split()[0]
+    lineno, fields = next(records, (None, None))
+    if lineno is None:
+        raise ParseError(f"empty {magic} input")
+    if len(fields) != 3 or fields[0] != magic:
+        raise ParseError(f"expected header {form!r}", line=lineno)
+    if not (fields[1].isdigit() and fields[2].isdigit()):
+        raise ParseError(f"non-numeric {magic} header", line=lineno)
+    return lineno, int(fields[1]), int(fields[2])
+
+
+def _reference_rows(records, count, width, bound=None):
+    rows = []
+    for lineno, fields in records:
+        if len(rows) == count:
+            raise ParseError(f"expected {count} rows, found more", line=lineno)
+        if len(fields) != width:
+            raise ParseError(f"expected {width} entries, found {len(fields)}", line=lineno)
+        row = []
+        for col, tok in enumerate(fields, start=1):
+            if not tok.isdigit():
+                raise ParseError(f"non-numeric entry {tok!r}", line=lineno, col=col)
+            value = int(tok)
+            if bound is not None and not 0 <= value < bound:
+                raise ParseError(f"entry {value} outside [0, {bound})", line=lineno, col=col)
+            row.append(value)
+        rows.append(row)
+    if len(rows) != count:
+        raise ParseError(f"expected {count} rows, found {len(rows)}")
+    return rows
+
+
+def reference_cdg(payload):
+    records = _reference_records(payload)
+    lineno, n, c = _reference_header(records, "cdg N C")
+    if n < 1 or c < 1:
+        raise ParseError("cdg header out of range", line=lineno)
+    formats._check_order(n)
+    return EdgeColoredGraph(_reference_rows(records, n, n, bound=min(c, COLOR_LIMIT)))
+
+
+def reference_ws(payload):
+    records = _reference_records(payload)
+    lineno, k, m = _reference_header(records, "ws K M")
+    if k < 1 or m < 0:
+        raise ParseError("ws header out of range", line=lineno)
+    rows = _reference_rows(records, m, 2 * k)
+    try:
+        return WindowSet.from_elements(k, [(row[:k], row[k:]) for row in rows])
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def reference_dimacs(payload):
+    n = declared_m = None
+    edges = []
+    for lineno, fields in _reference_records(payload):
+        if fields[0].startswith("c"):
+            continue
+        if fields[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate problem line", line=lineno)
+            if len(fields) != 4 or fields[1] != "edge":
+                raise ParseError("expected 'p edge N M'", line=lineno)
+            if not (fields[2].isdigit() and fields[3].isdigit()):
+                raise ParseError("non-numeric problem line", line=lineno)
+            n, declared_m = int(fields[2]), int(fields[3])
+            if n < 1 or declared_m < 0:
+                raise ParseError("problem line out of range", line=lineno)
+            formats._check_order(n)
+        elif fields[0] == "e":
+            if n is None:
+                raise ParseError("edge before problem line", line=lineno)
+            if len(fields) != 3:
+                raise ParseError("expected 'e U V'", line=lineno)
+            if not (fields[1].isdigit() and fields[2].isdigit()):
+                raise ParseError("non-numeric edge endpoints", line=lineno)
+            u, v = int(fields[1]), int(fields[2])
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"endpoint out of range 1..{n}", line=lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", line=lineno)
+            edges.append((u - 1, v - 1))
+        else:
+            raise ParseError(f"unknown record {fields[0]!r}", line=lineno)
+    if n is None:
+        raise ParseError("missing problem line")
+    if len(edges) != declared_m:
+        raise ParseError(f"declared {declared_m} edges but found {len(edges)}")
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = True
+    return from_adjacency(adj)
