@@ -246,9 +246,7 @@ def test_numbers_keep_their_value():
     g = parse_graph(doc("cdg", text))
     assert g.colors[0].tolist() == g.colors[:, 0].tolist() == values
     assert parse_graph(doc("dimacs", "p edge 300 1\ne 299 300\n")).colors[298, 299] == 1
-
-
-def test_long_numbers_keep_their_value():
+    # Beyond 18 digits a number is read whole, and its message quotes it whole.
     g = parse_graph(doc("cdg", "cdg 1 99999999999999999999\n04611686018427387903\n"))
     assert int(g.colors[0, 0]) == COLOR_LIMIT - 1
     with pytest.raises(ParseError, match=re.escape("entry 4611686018427387904 outside")):
