@@ -4,9 +4,10 @@ Orbit computation with certificates
 
 The engine individualizes vertices until one more individualization would
 make the coloring discrete (a "regular stage"), then groups the one-vertex
-extensions by canonical form: equal forms yield explicitly verified
-automorphisms. Orbit partitions of the witnessed subgroups accumulate by
-lattice join. When the accumulated partition reaches the stable coloring,
+extensions by trace digest: each extension is matched to the first one
+with its digest by a class-order bijection, kept only once it is verified
+as an automorphism. Orbit partitions of the witnessed subgroups accumulate
+by lattice join. When the accumulated partition reaches the stable coloring,
 the sandwich (partition <= true orbits <= stable coloring) pins the answer
 exactly and the run reports status "certified".
 """

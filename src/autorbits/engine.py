@@ -1,7 +1,7 @@
-"""Orbit engine: individualization to a regular stage, isomorphism-grouping
-of the resulting discrete colorings, join-based accumulation, a
-class-merge verification procedure, and an isomorphism test that runs the
-same lock-step descent over two graphs.
+"""Orbit engine: individualization to a regular stage, matching of the
+resulting discrete colorings by trace digest and verified extraction,
+join-based accumulation, a class-merge verification procedure, and an
+isomorphism test that runs the same lock-step descent over two graphs.
 
 The engine only ever *claims* what it can witness: every merge of two
 vertices into one orbit class is backed by an explicitly verified
@@ -47,7 +47,6 @@ class RunStats:
     """Instrumentation counters for one engine run."""
 
     refine_calls: int = 0
-    canonical_form_calls: int = 0
     verify_tree_nodes: int = 0
     verify_tree_depth_max: int = 0
     depth_budget_hits: int = 0
@@ -114,9 +113,9 @@ class Run:
         all invariants of (g, fixes), so isomorphic stages get the same
         kind; the trace header packs k, so the two kinds never share a
         digest; and an isomorphism between discrete individualized graphs
-        is unique, so forms, witnesses and generators are the same
-        permutations. Rigid inputs are almost always 1-WL-discrete, and
-        then a stage costs n^2 per round instead of n^3. The gate keeps
+        is unique, so witnesses and generators are the same permutations.
+        Rigid inputs are almost always 1-WL-discrete, and then a stage costs
+        n^2 per round instead of n^3. The gate keeps
         small stages off this path, where a k=1 pass that ends non-discrete
         costs about as much as the k=2 refine after it: 0.55-1.2 of it at
         n = 16, 0.1-0.2 at n = 64 (K_n, C_n and G(n, 1/2)).
@@ -177,7 +176,9 @@ def canonical_form_discrete(stage):
     prefixed with the refinement trace digest (which also pins the
     individualized graph's order and color count). Two stages of one graph
     get equal forms exactly when the class-order bijection between them is
-    a verified automorphism waiting to be extracted.
+    a verified automorphism waiting to be extracted. The engine builds no
+    forms: it matches discrete stages by trace digest and
+    extract_isomorphism.
     """
     if not stage.coloring.is_discrete():
         raise NotDiscreteError("canonical form requires a discrete coloring")
@@ -230,15 +231,18 @@ def find_regular_stage(run, first_seed=None):
 
 
 def stage_orbits(run, stage):
-    """Orbits of the subgroup found by grouping one-vertex extensions.
+    """Orbits of the subgroup found by matching one-vertex extensions.
 
     Every vertex of every non-singleton stage class is individualized and
-    refined; extensions with equal canonical forms yield verified
-    automorphisms. Returns the orbit partition of the witnessed subgroup
-    together with the witnesses.
+    refined. The first discrete extension with a given trace digest anchors
+    it; each later one with that digest is matched to its anchor by
+    extract_isomorphism, whose witnesses are verified automorphisms. An
+    extension that does not match is left unmerged, which keeps the
+    partition a lower bound. Returns the orbit partition of the witnessed
+    subgroup together with the witnesses.
     """
     generators = []
-    groups = {}
+    anchors = {}
     for members in stage.coloring.vertex_partition.classes:
         if len(members) < 2:
             continue
@@ -248,18 +252,12 @@ def stage_orbits(run, stage):
                 # Regular stages never produce this; tolerate it soundly by
                 # leaving y unmerged.
                 continue
-            run.stats.canonical_form_calls += 1
-            form = canonical_form_discrete(extension)
-            anchor = groups.get(form)
-            if anchor is None:
-                groups[form] = extension
+            anchor = anchors.setdefault(extension.coloring.trace_digest, extension)
+            if anchor is extension:
                 continue
             witness = extract_isomorphism(anchor, extension)
-            if witness is None:
-                raise InternalInvariantError(
-                    "equal canonical forms failed isomorphism extraction"
-                )
-            generators.append(witness)
+            if witness is not None:
+                generators.append(witness)
     return closure_orbits(run.g.n, generators), generators
 
 

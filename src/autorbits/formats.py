@@ -211,10 +211,10 @@ def _parse_graph6(payload):
     lines = [(i, line) for i, raw in enumerate(text.splitlines(), start=1) if (line := raw.strip())]
     if not lines:
         raise ParseError("empty graph6 input")
-    line = lines[0][1]
+    number, line = lines[0]
     data = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - np.uint8(63)
     if (data > 63).any():
-        raise ParseError("graph6 character out of range", line=1)
+        raise ParseError("graph6 character out of range", line=number)
     if data[0] != 63:
         size, pos = data[:1], 1
     elif len(data) >= 4 and data[1] != 63:
@@ -222,16 +222,16 @@ def _parse_graph6(payload):
     elif len(data) >= 8:
         size, pos = data[2:8], 8
     else:
-        raise ParseError("truncated graph6 size field", line=1)
+        raise ParseError("truncated graph6 size field", line=number)
     n = 0
     for d in size.tolist():
         n = (n << 6) | d
     if n < 1:
-        raise ParseError("graph6 order must be positive", line=1)
+        raise ParseError("graph6 order must be positive", line=number)
     need = n * (n - 1) // 2
     if len(data) - pos != -(-need // 6):
         side = "shorter" if (len(data) - pos) * 6 < need else "longer"
-        raise ParseError(f"graph6 payload {side} than the declared order", line=1)
+        raise ParseError(f"graph6 payload {side} than the declared order", line=number)
     _check_order(n)
     if len(lines) > 1:
         raise ParseError("expected one graph6 line, found more", line=lines[1][0])

@@ -36,7 +36,6 @@ def test_orbits_k4(tmp_path):
     assert payload["status"] == "certified"
     assert set(payload["stats"]) == {
         "refine_calls",
-        "canonical_form_calls",
         "verify_tree_nodes",
         "verify_tree_depth_max",
         "depth_budget_hits",

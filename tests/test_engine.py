@@ -337,6 +337,21 @@ def test_stage_orbits_rigid_graph_no_generators():
     assert part.is_discrete() and gens == []
 
 
+def test_rigid_cubic_k1_search_builds_no_canonical_form(monkeypatch):
+    # Every one-vertex extension of this rigid graph's base stage is
+    # discrete with its own trace digest, so nothing needs a form.
+    networkx = pytest.importorskip("networkx")
+
+    def refuse(stage):
+        raise AssertionError("the search built a canonical form")
+
+    monkeypatch.setattr(engine, "canonical_form_discrete", refuse)
+    cubic = networkx.random_regular_graph(3, 60, seed=60)
+    system = compute_orbits(from_undirected_edges(60, cubic.edges()), K1)
+    assert system.status == LOWER_BOUND
+    assert system.partition.classes == tuple((v,) for v in range(60))
+
+
 # ------------------------------------------------------- compute_orbits
 
 

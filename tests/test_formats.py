@@ -211,6 +211,18 @@ def test_graph6_holds_one_graph():
     assert parse_graph(doc("graph6", "\n>>graph6<<\n\nDhc\n\n")) == cycle_graph(5)
 
 
+@pytest.mark.parametrize(("text", "error"), [
+    ("\n>>graph6<<\nDh\n", "line 3: graph6 payload shorter than the declared order"),
+    ("\n>>graph6<<Dhcxx\n", "line 2: graph6 payload longer than the declared order"),
+    ("\n\nDh\x7f\n", "line 3: graph6 character out of range"),
+    ("\n\n~?\n", "line 3: truncated graph6 size field"),
+    (" \n\t\n\n?\n", "line 4: graph6 order must be positive"),
+], ids=["short", "longer-after-header", "out-of-range", "truncated-size", "order-zero"])
+def test_graph6_errors_name_the_graph_line(text, error):
+    with pytest.raises(ParseError, match=re.escape(error)):
+        parse_graph(doc("graph6", text))
+
+
 @pytest.mark.parametrize(("fmt", "text", "error"), [
     ("cdg", "cdg 2 11\n+0 1_0\n1 0\n", "line 2, col 1: non-numeric entry '+0'"),
     ("cdg", "cdg 2 11\n0 1_0\n1 0\n", "line 2, col 2: non-numeric entry '1_0'"),

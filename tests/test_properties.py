@@ -1,8 +1,8 @@
 """Property tests of refine, iso_test and compute_orbits on random small
 graphs, against brute force and against the engine with its k=1 gate
 forced, of the two forms of the k=1 pair terms against a per-entry
-reference, and of refining fixes against refining the individualized
-graph."""
+reference, of refining fixes against refining the individualized graph,
+and of stage_orbits against grouping by canonical form."""
 
 from dataclasses import asdict
 
@@ -32,7 +32,15 @@ from autorbits import (
     refine,
 )
 from autorbits import engine, refinement
-from util import exact_wl, graph_from_bitmask, per_entry_k1_sums
+from util import (
+    exact_wl,
+    form_grouped_stage_orbits,
+    graph_from_bitmask,
+    hypercube_graph,
+    per_entry_k1_sums,
+    rook_graph_4x4,
+    shrikhande_graph,
+)
 
 
 @st.composite
@@ -278,3 +286,48 @@ def test_refine_of_fixes_matches_the_individualized_graph(case):
     # equal matrix.
     with pytest.raises(ValueError, match="another graph"):
         refine(EdgeColoredGraph(g.colors), cfg, fixes, terms)
+
+
+@st.composite
+def stage_cases(draw):
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(("simple", "circulant", "directed circulant")))
+    if kind == "simple":
+        g = graph_from_bitmask(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    else:
+        # A circulant is vertex-transitive, so its regular stages have
+        # classes whose extensions must be matched. A directed one can have
+        # more than two automorphic extensions with one digest.
+        offsets = draw(st.lists(st.integers(1, max(1, n - 1)), max_size=4))
+        v = np.arange(n)
+        arc = np.isin((v[None, :] - v[:, None]) % n, offsets)
+        if kind == "circulant":
+            arc |= arc.T
+        g = EdgeColoredGraph(np.where(arc, 1, 2) - 2 * np.eye(n, dtype=np.int64))
+    return g, RefinementConfig(k=draw(st.sampled_from((1, 2))))
+
+
+NAMED_STAGE_GRAPHS = (
+    petersen_graph(), hypercube_graph(4), rook_graph_4x4(), shrikhande_graph(), cycle_graph(5),
+)
+
+
+def _with_named_graphs(test):
+    for g in NAMED_STAGE_GRAPHS:
+        for k in (1, 2):
+            test = example((g, RefinementConfig(k=k)))(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stage_cases())
+@_with_named_graphs
+def test_stage_orbits_matches_grouping_by_canonical_form(case):
+    g, cfg = case
+    run = engine.Run(g, cfg)
+    for v in range(g.n):
+        stage = engine.find_regular_stage(run, first_seed=v)
+        part, gens = engine.stage_orbits(run, stage)
+        want_part, want_gens = form_grouped_stage_orbits(run, stage)
+        assert part.classes == want_part.classes
+        assert [w.as_list() for w in gens] == [w.as_list() for w in want_gens]

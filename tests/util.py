@@ -9,6 +9,9 @@ from autorbits import (
     ParseError,
     Permutation,
     WindowSet,
+    canonical_form_discrete,
+    closure_orbits,
+    extract_isomorphism,
     formats,
     from_undirected_edges,
     refinement,
@@ -74,6 +77,35 @@ def shrikhande_graph():
             if d in offsets:
                 edges.append((a, b))
     return from_undirected_edges(16, edges)
+
+
+def hypercube_graph(d):
+    """Q_d: vertices are d-bit words, adjacent when they differ in one bit."""
+    edges = [(v, v ^ 1 << b) for v in range(1 << d) for b in range(d) if v < v ^ 1 << b]
+    return from_undirected_edges(1 << d, edges)
+
+
+def form_grouped_stage_orbits(run, stage):
+    """Reference for engine.stage_orbits that groups the discrete one-vertex
+    extensions by their full canonical form: the first extension with a
+    form anchors it, and each later one with an equal form must give a
+    verified automorphism by extract_isomorphism."""
+    generators = []
+    groups = {}
+    for members in stage.coloring.vertex_partition.classes:
+        if len(members) < 2:
+            continue
+        for y in members:
+            extension = run.stage(stage.fixes + (y,))
+            if not extension.coloring.is_discrete():
+                continue
+            anchor = groups.setdefault(canonical_form_discrete(extension), extension)
+            if anchor is extension:
+                continue
+            witness = extract_isomorphism(anchor, extension)
+            assert witness is not None, "equal canonical forms failed isomorphism extraction"
+            generators.append(witness)
+    return closure_orbits(run.g.n, generators), generators
 
 
 def all_set_partitions(items):
