@@ -13,6 +13,7 @@ and when the two coincide the middle is pinned.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -144,8 +145,11 @@ def _candidate_order(coloring, exclude=()):
     """Vertices of non-singleton classes, not in exclude: the smaller class
     first, then the earlier class (the sort is stable), then the smaller
     vertex."""
-    classes = sorted(coloring.vertex_partition.classes, key=len)
-    return [v for members in classes if len(members) > 1 for v in members if v not in exclude]
+    class_of = coloring.vertex_partition.class_of
+    size_of = np.bincount(class_of)[class_of]
+    size_of[list(exclude)] = 1  # dropped below, as singletons are
+    order = np.lexsort((class_of, size_of))
+    return order[size_of[order] > 1].tolist()
 
 
 def _extend(run, stage, keep, exclude=(), first=None):
@@ -243,21 +247,20 @@ def stage_orbits(run, stage):
     """
     generators = []
     anchors = {}
-    for members in stage.coloring.vertex_partition.classes:
-        if len(members) < 2:
+    class_of = stage.coloring.vertex_partition.class_of
+    by_class = np.argsort(class_of, kind="stable")
+    for y in by_class[np.bincount(class_of)[class_of[by_class]] > 1].tolist():
+        extension = run.stage(stage.fixes + (y,))
+        if not extension.coloring.is_discrete():
+            # Regular stages never produce this; tolerate it soundly by
+            # leaving y unmerged.
             continue
-        for y in members:
-            extension = run.stage(stage.fixes + (y,))
-            if not extension.coloring.is_discrete():
-                # Regular stages never produce this; tolerate it soundly by
-                # leaving y unmerged.
-                continue
-            anchor = anchors.setdefault(extension.coloring.trace_digest, extension)
-            if anchor is extension:
-                continue
-            witness = extract_isomorphism(anchor, extension)
-            if witness is not None:
-                generators.append(witness)
+        anchor = anchors.setdefault(extension.coloring.trace_digest, extension)
+        if anchor is extension:
+            continue
+        witness = extract_isomorphism(anchor, extension)
+        if witness is not None:
+            generators.append(witness)
     return closure_orbits(run.g.n, generators), generators
 
 
@@ -281,8 +284,7 @@ def verify_merge(run, q_partition, class_a, class_b):
         raise SizeMismatchError("partition size does not match graph order")
     if class_a == class_b or not all(0 <= c < q_partition.class_count for c in (class_a, class_b)):
         raise ValueError(f"classes to merge must be distinct ids in [0, {q_partition.class_count})")
-    o1 = q_partition.classes[class_a][0]
-    o2 = q_partition.classes[class_b][0]
+    o1, o2 = q_partition.first_members()[[int(class_a), int(class_b)]].tolist()
 
     def together(stage):
         class_of = stage.coloring.vertex_partition.class_of
@@ -341,11 +343,11 @@ def _descend(run1, run2, s1, s2, depth_budget, node_budget):
             elif level >= depth_budget:
                 stats.depth_budget_hits += 1
             else:
-                classes1 = s1.coloring.vertex_partition.classes
-                target = next(i for i, c in enumerate(classes1) if len(c) > 1)
-                extended1 = run1.stage(s1.fixes + (classes1[target][0],))
-                members2 = s2.coloring.vertex_partition.classes[target]
-                stack.append((level + 1, extended1, s2.fixes, iter(members2)))
+                class_of1 = s1.coloring.vertex_partition.class_of
+                target = np.argmax(np.bincount(class_of1) > 1)
+                extended1 = run1.stage(s1.fixes + (int(np.argmax(class_of1 == target)),))
+                (members2,) = np.nonzero(s2.coloring.vertex_partition.class_of == target)
+                stack.append((level + 1, extended1, s2.fixes, iter(members2.tolist())))
                 expanded = True
         # Next pair: the first child of an expanded pair, else the next
         # untried sibling at the deepest open level. A sibling is refined
@@ -367,18 +369,12 @@ def _descend(run1, run2, s1, s2, depth_budget, node_budget):
 
 def _merge_candidates(q, stable, attempted):
     """Unordered pairs of q-classes sharing a stable class, not yet tried."""
-    by_stable = {}
-    for members in q.classes:
-        by_stable.setdefault(int(stable.class_of[members[0]]), []).append(members)
-    pairs = []
-    for _, group in sorted(by_stable.items()):
-        group.sort(key=lambda m: m[0])
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                key = (group[i][0], group[j][0])
-                if key not in attempted:
-                    pairs.append(key)
-    return pairs
+    firsts = q.first_members()
+    stable_of = stable.class_of[firsts]
+    order = np.lexsort((firsts, stable_of))
+    groups = np.split(firsts[order], np.flatnonzero(np.diff(stable_of[order])) + 1)
+    pairs = (itertools.combinations(group.tolist(), 2) for group in groups)
+    return [key for key in itertools.chain.from_iterable(pairs) if key not in attempted]
 
 
 def _check_budget(budget):
@@ -414,7 +410,7 @@ def compute_orbits(g, cfg=None, budget=None):
         if q.same_blocks(stable):
             break
         before = q
-        seed = q.classes[seed_ptr % q.class_count][0]
+        seed = int(q.first_members()[seed_ptr % q.class_count])
         seed_ptr += 1
         stage = find_regular_stage(run, first_seed=seed)
         part, new_gens = stage_orbits(run, stage)

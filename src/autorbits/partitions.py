@@ -18,12 +18,12 @@ def _int_array(values):
 class OrderedPartition:
     """A partition of [0, n) whose classes carry explicit, meaningful ids.
 
-    Class ids must be dense in [0, class_count). The id order is whatever the
-    producer chose: refinement emits signature-sorted ids and joins emit
-    min-element order.
+    The class map ``class_of`` is the partition; ``classes`` is derived from
+    it. Class ids are dense in [0, class_count), in the order the producer
+    chose: refinement sorts them by signature and joins by smallest member.
     """
 
-    __slots__ = ("n", "class_of", "classes")
+    __slots__ = ("n", "class_of", "class_count")
 
     def __init__(self, class_of):
         arr = _int_array(class_of)
@@ -34,10 +34,7 @@ class OrderedPartition:
         arr.setflags(write=False)
         self.n = int(arr.size)
         self.class_of = arr
-        members = [[] for _ in range(int(arr.max()) + 1)]
-        for v, c in enumerate(arr.tolist()):
-            members[c].append(v)
-        self.classes = tuple(map(tuple, members))
+        self.class_count = int(arr.max()) + 1
 
     @classmethod
     def from_classes(cls, classes, n=None):
@@ -56,11 +53,18 @@ class OrderedPartition:
         return cls(np.arange(n))
 
     @property
-    def class_count(self):
-        return len(self.classes)
+    def classes(self):
+        """Members of each class, by class id, each in increasing order."""
+        members = np.argsort(self.class_of, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.class_of)).tolist()
+        return tuple(tuple(members[start:end]) for start, end in zip([0] + ends, ends))
+
+    def first_members(self):
+        """Smallest member of each class, by class id, as an int64 array."""
+        return np.unique(self.class_of, return_index=True)[1]
 
     def is_discrete(self):
-        return len(self.classes) == self.n
+        return self.class_count == self.n
 
     def is_finer_or_equal(self, other):
         """True iff every class of self lies inside one class of other."""
@@ -94,13 +98,12 @@ def partition_join(p, q):
 
     Two vertices end up together iff they are linked by a chain of
     overlapping p- and q-classes, i.e. iff they are connected by the pairs
-    linking each class to its first member.
+    linking each vertex to its class's first member.
     """
     if p.n != q.n:
         raise SizeMismatchError("partition sizes differ")
-    return join_pairs(
-        p.n, ((m[0], v) for part in (p, q) for m in part.classes for v in m[1:])
-    )
+    firsts = (part.first_members()[part.class_of].tolist() for part in (p, q))
+    return join_pairs(p.n, ((a, v) for first in firsts for v, a in enumerate(first) if a != v))
 
 
 def join_pairs(n, pairs):
