@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import int_array
+from .graphs import int_array, is_integer
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,8 @@ class WindowSet:
 
     @classmethod
     def from_elements(cls, k, elements):
-        if k < 1:
-            raise ValueError("window width must be at least 1")
+        if not (is_integer(k) and k >= 1):
+            raise ValueError("window width must be an integer >= 1")
         normalized = set()
         for top, bottom in elements:
             top = tuple(int_array(top).tolist())

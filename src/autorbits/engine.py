@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InternalInvariantError, NotDiscreteError, SizeMismatchError
-from .graphs import Permutation, apply_permutation, is_automorphism
+from .graphs import Permutation, apply_permutation, is_automorphism, is_integer
 from .graphs import disjoint_union  # noqa: F401  (the benchmark tracer wraps engine.disjoint_union)
 from .partitions import OrderedPartition, closure_orbits, partition_join
 from .refinement import RefinementConfig, build_k1_terms, fix_sequence, refine
@@ -120,8 +120,17 @@ class Run:
         small stages off this path, where a k=1 pass that ends non-discrete
         costs about as much as the k=2 refine after it: 0.55-1.2 of it at
         n = 16, 0.1-0.2 at n = 64 (K_n, C_n and G(n, 1/2)).
+
+        fixes come from outside the engine, so they are validated here
+        (ValueError unless they are distinct vertices of the graph). The
+        engine's own lookups go through _stage, which takes its fixes as
+        given: they are tuples of distinct int vertices that the engine
+        built itself. refine validates the fixes of every store miss.
         """
-        fixes = fix_sequence(fixes, self.g.n)
+        return self._stage(fix_sequence(fixes, self.g.n))
+
+    def _stage(self, fixes):
+        """Run.stage of engine-built fixes, which it does not validate."""
         out = self._stages.pop(fixes, None)
         if out is None:
             self.stats.refine_calls += 1
@@ -165,7 +174,7 @@ def _extend(run, stage, keep, exclude=(), first=None):
             candidates = [first] + [c for c in candidates if c != first]
             first = None
         for y in candidates:
-            trial = run.stage(stage.fixes + (y,))
+            trial = run._stage(stage.fixes + (y,))
             if keep(trial):
                 stage = trial
                 break
@@ -225,10 +234,18 @@ def find_regular_stage(run, first_seed=None):
     further individualization makes it discrete.
 
     If the initial refinement is already discrete the empty-fix stage is
-    returned immediately. first_seed, when given, is the first vertex tried.
-    Termination is guaranteed: fixing everything is discrete.
+    returned immediately. first_seed, when given, is the first vertex tried;
+    ValueError unless it is a vertex of run.g. Termination is guaranteed:
+    fixing everything is discrete.
     """
-    stage = run.stage(())
+    if first_seed is not None:
+        (first_seed,) = fix_sequence((first_seed,), run.g.n)
+    return _regular_stage(run, first_seed)
+
+
+def _regular_stage(run, first_seed):
+    """find_regular_stage from an engine-built first_seed, not validated."""
+    stage = run._stage(())
     if stage.coloring.is_discrete():
         return stage
     return _extend(run, stage, lambda t: not t.coloring.is_discrete(), first=first_seed)
@@ -250,7 +267,7 @@ def stage_orbits(run, stage):
     class_of = stage.coloring.vertex_partition.class_of
     by_class = np.argsort(class_of, kind="stable")
     for y in by_class[np.bincount(class_of)[class_of[by_class]] > 1].tolist():
-        extension = run.stage(stage.fixes + (y,))
+        extension = run._stage(stage.fixes + (y,))
         if not extension.coloring.is_discrete():
             # Regular stages never produce this; tolerate it soundly by
             # leaving y unmerged.
@@ -278,26 +295,28 @@ def verify_merge(run, q_partition, class_a, class_b):
     ceil(log2 n) + 1 and after max(64, 8 n) nodes. Returns a verified
     witness or None; None is *not* a proof that the classes are separate.
     q_partition must be a partition of run.g's vertices (SizeMismatchError
-    otherwise), and the two classes distinct ids in [0, class_count).
+    otherwise), and the two classes distinct integer ids in [0,
+    class_count) (ValueError otherwise; a bool counts as an integer).
     """
     if q_partition.n != run.g.n:
         raise SizeMismatchError("partition size does not match graph order")
-    if class_a == class_b or not all(0 <= c < q_partition.class_count for c in (class_a, class_b)):
-        raise ValueError(f"classes to merge must be distinct ids in [0, {q_partition.class_count})")
+    count = q_partition.class_count
+    if class_a == class_b or not all(is_integer(c) and 0 <= c < count for c in (class_a, class_b)):
+        raise ValueError(f"classes to merge must be distinct ids in [0, {count})")
     o1, o2 = q_partition.first_members()[[int(class_a), int(class_b)]].tolist()
 
     def together(stage):
         class_of = stage.coloring.vertex_partition.class_of
         return class_of[o1] == class_of[o2]
 
-    stage = run.stage(())
+    stage = run._stage(())
     if not together(stage):
         return None
     stage = _extend(run, stage, together, exclude={o1, o2})
 
     n = run.g.n
-    t1 = run.stage(stage.fixes + (o1,))
-    t2 = run.stage(stage.fixes + (o2,))
+    t1 = run._stage(stage.fixes + (o1,))
+    t2 = run._stage(stage.fixes + (o2,))
     # A successful search examines few graphs; a search past the node budget
     # is already failing, so give up on the witness rather than enumerate.
     witness, _ = _descend(run, run, t1, t2, _default_depth_budget(n), max(64, 8 * n))
@@ -345,7 +364,7 @@ def _descend(run1, run2, s1, s2, depth_budget, node_budget):
             else:
                 class_of1 = s1.coloring.vertex_partition.class_of
                 target = np.argmax(np.bincount(class_of1) > 1)
-                extended1 = run1.stage(s1.fixes + (int(np.argmax(class_of1 == target)),))
+                extended1 = run1._stage(s1.fixes + (int(np.argmax(class_of1 == target)),))
                 (members2,) = np.nonzero(s2.coloring.vertex_partition.class_of == target)
                 stack.append((level + 1, extended1, s2.fixes, iter(members2.tolist())))
                 expanded = True
@@ -364,7 +383,7 @@ def _descend(run1, run2, s1, s2, depth_budget, node_budget):
             if not expanded and node_budget <= 0:
                 return None, True
             break
-        s2 = run2.stage(fixes2 + (b,))
+        s2 = run2._stage(fixes2 + (b,))
 
 
 def _merge_candidates(q, stable, attempted):
@@ -379,7 +398,7 @@ def _merge_candidates(q, stable, attempted):
 
 def _check_budget(budget):
     """ValueError unless budget is None or an integer >= 0 (a bool counts)."""
-    if budget is not None and not (isinstance(budget, (int, np.integer)) and budget >= 0):
+    if budget is not None and not (is_integer(budget) and budget >= 0):
         raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
 
 
@@ -398,7 +417,7 @@ def compute_orbits(g, cfg=None, budget=None):
     """
     _check_budget(budget)
     run = Run(g, cfg)
-    stable = run.stage(()).coloring.vertex_partition
+    stable = run._stage(()).coloring.vertex_partition
     q = OrderedPartition.singletons(g.n)
     generators = {}
     attempted = set()
@@ -412,7 +431,7 @@ def compute_orbits(g, cfg=None, budget=None):
         before = q
         seed = int(q.first_members()[seed_ptr % q.class_count])
         seed_ptr += 1
-        stage = find_regular_stage(run, first_seed=seed)
+        stage = _regular_stage(run, seed)
         part, new_gens = stage_orbits(run, stage)
         generators.update(dict.fromkeys(new_gens))
         q = partition_join(q, part)
@@ -470,7 +489,7 @@ def iso_test(g1, g2, cfg=None, budget=None):
     run2 = Run(g2, cfg, stats)
     node_budget = budget if budget is not None else 128 * g1.n
     # A stage with n - 1 fixes is discrete, so level n is never cut.
-    witness, cut = _descend(run1, run2, run1.stage(()), run2.stage(()), g1.n, node_budget)
+    witness, cut = _descend(run1, run2, run1._stage(()), run2._stage(()), g1.n, node_budget)
     if witness is not None:
         return IsoResult(ISOMORPHIC, witness, None, stats)
     return IsoResult(INCONCLUSIVE if cut else NON_ISOMORPHIC, None, None, stats)

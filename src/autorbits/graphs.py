@@ -26,6 +26,11 @@ def int_array(values):
     return arr.astype(np.int64)
 
 
+def is_integer(value):
+    """True iff value is an int or a numpy integer (a bool counts)."""
+    return isinstance(value, (int, np.integer))
+
+
 def covers_once(values, n):
     """True iff n >= 1 and the int64 vector values holds each of 0 .. n-1 once."""
     return bool(values.size == n > 0 and values.min() >= 0 and values.max() < n

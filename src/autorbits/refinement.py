@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graphs import EdgeColoredGraph, int_array
+from .graphs import EdgeColoredGraph, int_array, is_integer
 from .partitions import OrderedPartition
 
 # Hash fields per round, bits per field, and the largest order whose k=1
@@ -108,7 +108,7 @@ class RefinementConfig:
     k: int = 2
 
     def __post_init__(self):
-        if self.k not in _DIMENSIONS:
+        if not (is_integer(self.k) and self.k in _DIMENSIONS):
             raise ValueError(f"k must be one of {tuple(_DIMENSIONS)}")
 
 

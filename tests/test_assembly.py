@@ -49,6 +49,19 @@ def test_malformed_element_rejected():
         WindowSet.from_elements(2, [((1, 2, 3), (4, 5, 6))])
 
 
+@pytest.mark.parametrize("k", [2.0, np.float64(2.0), "2", 0], ids=repr)
+def test_window_width_must_be_an_integer_of_at_least_one(k):
+    with pytest.raises(ValueError):
+        WindowSet.from_elements(k, ASSEMBLED_2)
+
+
+def test_window_width_may_be_a_numpy_integer_or_bool():
+    assert is_assembled(WindowSet.from_elements(np.int64(2), ASSEMBLED_2)) == (
+        True, ((1, 2, 3), (4, 5, 6)))
+    ws = WindowSet.from_elements(True, [((7,), (1,)), ((3,), (9,))])
+    assert is_assembled(ws)[0]
+
+
 def test_empty_projection():
     assert project_to_vertices(WindowSet.from_elements(2, [])) == frozenset()
 

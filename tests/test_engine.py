@@ -229,7 +229,7 @@ def test_bounded_stage_store_gives_the_same_orbits(g, monkeypatch):
     default = compute_orbits(g, K2)
     bound = 3 * g.n
     monkeypatch.setattr(engine, "STAGE_STORE_VERTICES", bound)
-    stored = engine.Run.stage
+    stored = engine.Run._stage
     sizes = []
 
     def checked_stage(run, fixes):
@@ -237,7 +237,7 @@ def test_bounded_stage_store_gives_the_same_orbits(g, monkeypatch):
         sizes.append(len(run._stages) * g.n)
         return out
 
-    monkeypatch.setattr(engine.Run, "stage", checked_stage)
+    monkeypatch.setattr(engine.Run, "_stage", checked_stage)
     small = compute_orbits(g, K2)
     assert sizes and max(sizes) <= bound
     assert small.partition == default.partition
@@ -350,6 +350,33 @@ def test_rigid_cubic_k1_search_builds_no_canonical_form(monkeypatch):
     system = compute_orbits(from_undirected_edges(60, cubic.edges()), K1)
     assert system.status == LOWER_BOUND
     assert system.partition.classes == tuple((v,) for v in range(60))
+
+
+def test_search_validates_no_fixes_it_built_itself(monkeypatch):
+    # Only refine validates fixes, once per store miss: the engine's own
+    # lookups take the tuples it built as they are.
+    networkx = pytest.importorskip("networkx")
+    calls = []
+    real = refinement.fix_sequence
+
+    def counting(fixes, n):
+        calls.append(fixes)
+        return real(fixes, n)
+
+    monkeypatch.setattr(refinement, "fix_sequence", counting)
+    monkeypatch.setattr(engine, "fix_sequence", counting)
+    cubic = networkx.random_regular_graph(3, 60, seed=60)
+    system = compute_orbits(from_undirected_edges(60, cubic.edges()), K1)
+    assert system.stats.refine_calls == 61
+    assert len(calls) <= system.stats.refine_calls
+
+
+def test_find_regular_stage_validates_its_seed_on_a_store_hit():
+    run = Run(cycle_graph(5), K1)
+    run.stage((1,))
+    with pytest.raises(ValueError):
+        find_regular_stage(run, first_seed=1.0)
+    assert find_regular_stage(run, first_seed=np.int64(1)).fixes == (1,)
 
 
 # ------------------------------------------------------- compute_orbits
@@ -492,6 +519,20 @@ def test_verify_merge_validates_its_partition():
     for a, b in ((0, 5), (-1, 0), (2, -5)):
         with pytest.raises(ValueError):
             verify_merge(run, OrderedPartition.singletons(5), a, b)
+
+
+@pytest.mark.parametrize("bad", [1.0, np.float64(2.0), "1", None], ids=repr)
+def test_verify_merge_refuses_a_non_integer_class_id(bad):
+    run = Run(cycle_graph(5), K1)
+    q = OrderedPartition.singletons(5)
+    for ids in ((0, bad), (bad, 0)):
+        with pytest.raises(ValueError):
+            verify_merge(run, q, *ids)
+    # A numpy integer or a bool is an integer id.
+    want = verify_merge(run, q, 1, 2)
+    assert verify_merge(run, q, np.int64(1), np.int64(2)) == want
+    assert verify_merge(run, q, True, 2) == want
+    assert verify_merge(run, q, False, True) == verify_merge(run, q, 0, 1)
 
 
 def test_verify_merge_separated_by_base_coloring_refines_once():

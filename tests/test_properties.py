@@ -2,9 +2,11 @@
 graphs, against brute force and against the engine with its k=1 gate
 forced, of the two forms of the k=1 pair terms against a per-entry
 reference, of refining fixes against refining the individualized graph,
-and of stage_orbits against grouping by canonical form."""
+of stage_orbits against grouping by canonical form, and of the array
+scans of partitions against loop references."""
 
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +40,9 @@ from util import (
     graph_from_bitmask,
     hypercube_graph,
     per_entry_k1_sums,
+    reference_candidate_order,
+    reference_classes,
+    reference_merge_candidates,
     rook_graph_4x4,
     shrikhande_graph,
 )
@@ -331,3 +336,54 @@ def test_stage_orbits_matches_grouping_by_canonical_form(case):
         want_part, want_gens = form_grouped_stage_orbits(run, stage)
         assert part.classes == want_part.classes
         assert [w.as_list() for w in gens] == [w.as_list() for w in want_gens]
+
+
+@st.composite
+def class_maps(draw, n):
+    """A partition of [0, n) with dense class ids in a drawn order."""
+    drawn = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    values, inverse = np.unique(drawn, return_inverse=True)
+    order = np.array(draw(st.permutations(range(values.size))), dtype=np.int64)
+    return OrderedPartition(order[inverse])
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(1, 12))
+    q, stable = draw(class_maps(n)), draw(class_maps(n))
+    exclude = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    return q, stable, exclude
+
+
+def _assert_scans_match(q, stable, exclude, attempted):
+    classes = reference_classes(q)
+    assert q.classes == classes
+    assert q.first_members().tolist() == [members[0] for members in classes]
+    coloring = SimpleNamespace(vertex_partition=q)
+    assert engine._candidate_order(coloring, exclude) == reference_candidate_order(coloring, exclude)
+    want = reference_merge_candidates(q, stable, attempted)
+    assert engine._merge_candidates(q, stable, attempted) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scan_cases(), st.data())
+def test_partition_scans_match_the_loop_references_on_class_maps(case, data):
+    q, stable, exclude = case
+    pairs = reference_merge_candidates(q, stable, set())
+    attempted = set(data.draw(st.lists(st.sampled_from(pairs)))) if pairs else set()
+    _assert_scans_match(q, stable, exclude, attempted)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stage_cases())
+@_with_named_graphs
+def test_partition_scans_match_the_loop_references_on_reached_stages(case):
+    g, cfg = case
+    run = engine.Run(g, cfg)
+    for v in range(g.n):
+        engine.find_regular_stage(run, first_seed=v)
+    stable = run.stage(()).coloring.vertex_partition
+    for stage in list(run._stages.values()):
+        part = stage.coloring.vertex_partition
+        _assert_scans_match(part, stable, {0, g.n - 1}, set())
+        _assert_scans_match(stable, part, set(stage.fixes), set())

@@ -121,6 +121,18 @@ def test_fixes_are_distinct_integer_vertices_everywhere():
             call(fixes)
 
 
+@pytest.mark.parametrize("k", [2.0, 1.0, np.float64(2.0), "2", None], ids=repr)
+def test_refinement_config_refuses_a_non_integer_k(k):
+    with pytest.raises(ValueError):
+        RefinementConfig(k=k)
+
+
+def test_refinement_config_takes_a_numpy_integer_or_bool_k():
+    g = cycle_graph(6)
+    assert refine(g, RefinementConfig(k=np.int64(2)), (0,)) == refine(g, K2, (0,))
+    assert refine(g, RefinementConfig(k=True), (0,)) == refine(g, K1, (0,))
+
+
 def test_fix_order_within_singleton_classes_is_partition_neutral():
     g = path_graph(4)  # refinement splits ends from middles; fix one of each
     a = refine(individualize_sequence(g, [0, 1]), K1).vertex_partition

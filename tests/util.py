@@ -92,7 +92,7 @@ def form_grouped_stage_orbits(run, stage):
     verified automorphism by extract_isomorphism."""
     generators = []
     groups = {}
-    for members in stage.coloring.vertex_partition.classes:
+    for members in reference_classes(stage.coloring.vertex_partition):
         if len(members) < 2:
             continue
         for y in members:
@@ -106,6 +106,42 @@ def form_grouped_stage_orbits(run, stage):
             assert witness is not None, "equal canonical forms failed isomorphism extraction"
             generators.append(witness)
     return closure_orbits(run.g.n, generators), generators
+
+
+# Loop references for the array scans of partitions and the engine: the
+# class lists that OrderedPartition once built on every construction, and
+# the engine's candidate order and merge candidates read from them.
+
+
+def reference_classes(partition):
+    """Members of each class of partition, by class id, from one pass over
+    the vertices."""
+    members = [[] for _ in range(partition.class_count)]
+    for v, c in enumerate(partition.class_of.tolist()):
+        members[c].append(v)
+    return tuple(map(tuple, members))
+
+
+def reference_candidate_order(coloring, exclude=()):
+    """Reference for engine._candidate_order."""
+    classes = sorted(reference_classes(coloring.vertex_partition), key=len)
+    return [v for members in classes if len(members) > 1 for v in members if v not in exclude]
+
+
+def reference_merge_candidates(q, stable, attempted):
+    """Reference for engine._merge_candidates."""
+    by_stable = {}
+    for members in reference_classes(q):
+        by_stable.setdefault(int(stable.class_of[members[0]]), []).append(members)
+    pairs = []
+    for _, group in sorted(by_stable.items()):
+        group.sort(key=lambda m: m[0])
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                key = (group[i][0], group[j][0])
+                if key not in attempted:
+                    pairs.append(key)
+    return pairs
 
 
 def all_set_partitions(items):
