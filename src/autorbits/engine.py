@@ -288,15 +288,21 @@ def _default_depth_budget(n):
 def verify_merge(run, q_partition, class_a, class_b):
     """Search for an automorphism of run.g joining two classes of q_partition.
 
-    Grows a fix sequence that keeps the two class representatives in a
-    common color class for as long as possible, then co-individualizes the
-    representatives and descends the resulting pair of colorings in lock
-    step, one co-fixed vertex pair per level. The descent is cut at depth
-    ceil(log2 n) + 1 and after max(64, 8 n) nodes. Returns a verified
-    witness or None; None is *not* a proof that the classes are separate.
-    q_partition must be a partition of run.g's vertices (SizeMismatchError
-    otherwise), and the two classes distinct integer ids in [0,
-    class_count) (ValueError otherwise; a bool counts as an integer).
+    The two classes are represented by their first members o1 and o2. If
+    the base stage separates them there is none to find. Otherwise the
+    twin step comes first: when the transposition (o1 o2) is itself an
+    automorphism (o1 and o2 are twins: every other vertex sees them alike,
+    and so do they each other), it is the witness, found by two O(n)
+    comparisons and no refine. Else the search grows a fix sequence that
+    keeps o1 and o2 in a common color class for as long as possible, then
+    co-individualizes them and descends the resulting pair of colorings in
+    lock step, one co-fixed vertex pair per level. The descent is cut at
+    depth ceil(log2 n) + 1 and after max(64, 8 n) nodes. Either witness is
+    verified entrywise before it is returned; None is *not* a proof that
+    the classes are separate. q_partition must be a partition of run.g's
+    vertices (SizeMismatchError otherwise), and the two classes distinct
+    integer ids in [0, class_count) (ValueError otherwise; a bool counts
+    as an integer).
     """
     if q_partition.n != run.g.n:
         raise SizeMismatchError("partition size does not match graph order")
@@ -304,6 +310,11 @@ def verify_merge(run, q_partition, class_a, class_b):
     if class_a == class_b or not all(is_integer(c) and 0 <= c < count for c in (class_a, class_b)):
         raise ValueError(f"classes to merge must be distinct ids in [0, {count})")
     o1, o2 = q_partition.first_members()[[int(class_a), int(class_b)]].tolist()
+    return _verify_merge(run, o1, o2)
+
+
+def _verify_merge(run, o1, o2):
+    """verify_merge of two distinct vertices of run.g, not validated."""
 
     def together(stage):
         class_of = stage.coloring.vertex_partition.class_of
@@ -312,19 +323,39 @@ def verify_merge(run, q_partition, class_a, class_b):
     stage = run._stage(())
     if not together(stage):
         return None
-    stage = _extend(run, stage, together, exclude={o1, o2})
-
-    n = run.g.n
-    t1 = run._stage(stage.fixes + (o1,))
-    t2 = run._stage(stage.fixes + (o2,))
-    # A successful search examines few graphs; a search past the node budget
-    # is already failing, so give up on the witness rather than enumerate.
-    witness, _ = _descend(run, run, t1, t2, _default_depth_budget(n), max(64, 8 * n))
+    witness = _twin_swap(run.g, o1, o2)
     if witness is None:
-        return None
+        stage = _extend(run, stage, together, exclude={o1, o2})
+        n = run.g.n
+        t1 = run._stage(stage.fixes + (o1,))
+        t2 = run._stage(stage.fixes + (o2,))
+        # A successful search examines few graphs; a search past the node
+        # budget is already failing, so give up on the witness rather than
+        # enumerate.
+        witness, _ = _descend(run, run, t1, t2, _default_depth_budget(n), max(64, 8 * n))
+        if witness is None:
+            return None
     if witness(o1) != o2 or not is_automorphism(run.g, witness):
         raise InternalInvariantError("merge witness failed verification")
     return witness
+
+
+def _twin_swap(g, o1, o2):
+    """The transposition (o1 o2) if it is an automorphism of g, else None.
+
+    With swap its image array, the swap is an automorphism iff
+    colors[swap][:, swap] equals colors. Only rows and columns o1 and o2
+    can differ. Row o2 of the left side is colors[o1, swap] and column o2
+    is colors[swap, o1], and row and column o1 agree exactly when these do
+    (put swap(v) for v). So the two comparisons decide it, the diagonal
+    and c(o1, o2) = c(o2, o1) included.
+    """
+    swap = np.arange(g.n)
+    swap[[o1, o2]] = o2, o1
+    colors = g.colors
+    if np.array_equal(colors[o1, swap], colors[o2]) and np.array_equal(colors[swap, o1], colors[:, o2]):
+        return Permutation(swap)
+    return None
 
 
 def _descend(run1, run2, s1, s2, depth_budget, node_budget):
@@ -387,13 +418,15 @@ def _descend(run1, run2, s1, s2, depth_budget, node_budget):
 
 
 def _merge_candidates(q, stable, attempted):
-    """Unordered pairs of q-classes sharing a stable class, not yet tried."""
+    """Unordered pairs of q-classes sharing a stable class, not yet tried,
+    as pairs of first members. The pairs are yielded lazily, so a sweep
+    step that merges stops the enumeration."""
     firsts = q.first_members()
     stable_of = stable.class_of[firsts]
     order = np.lexsort((firsts, stable_of))
     groups = np.split(firsts[order], np.flatnonzero(np.diff(stable_of[order])) + 1)
     pairs = (itertools.combinations(group.tolist(), 2) for group in groups)
-    return [key for key in itertools.chain.from_iterable(pairs) if key not in attempted]
+    return (key for key in itertools.chain.from_iterable(pairs) if key not in attempted)
 
 
 def _check_budget(budget):
@@ -451,12 +484,12 @@ def compute_orbits(g, cfg=None, budget=None):
 
 
 def _verify_sweep(run, q, stable, generators, attempted):
-    """Try verify_merge on candidate class pairs until none succeeds;
-    witnesses are added to the generators dict."""
+    """Try _verify_merge on the first members of candidate class pairs
+    until none succeeds; witnesses are added to the generators dict."""
     while not q.same_blocks(stable):
         for key in _merge_candidates(q, stable, attempted):
             attempted.add(key)
-            witness = verify_merge(run, q, int(q.class_of[key[0]]), int(q.class_of[key[1]]))
+            witness = _verify_merge(run, *key)
             if witness is not None:
                 generators[witness] = None
                 q = partition_join(q, closure_orbits(run.g.n, [witness]))

@@ -543,6 +543,54 @@ def test_verify_merge_separated_by_base_coloring_refines_once():
     assert run.stats.refine_calls == 1
 
 
+def _is_transposition(w):
+    moved = np.flatnonzero(w.image != np.arange(w.n))
+    return moved.size == 2 and w(moved[0]) == moved[1]
+
+
+def test_verify_merge_of_twins_is_their_swap_without_a_descent():
+    run = Run(complete_graph(5), K1)
+    w = verify_merge(run, OrderedPartition.singletons(5), 1, 3)
+    assert w.as_list() == [0, 3, 2, 1, 4]
+    assert run.stats.refine_calls == 1 and run.stats.verify_tree_nodes == 0
+
+
+def test_complete_graph_merges_by_twin_swaps():
+    system = compute_orbits(complete_graph(40), K1)
+    assert system.status == CERTIFIED
+    assert (system.stats.refine_calls, system.stats.verify_tree_nodes) == (41, 0)
+    assert len(system.generators) == 39
+    assert all(_is_transposition(w) for w in system.generators)
+
+
+def test_empty_graph_merges_by_twin_swaps_at_k2():
+    system = compute_orbits(empty_graph(20), K2)
+    assert system.status == CERTIFIED
+    assert system.stats.refine_calls == 21
+
+
+STAR = from_undirected_edges(7, [(0, v) for v in range(1, 7)])
+K33 = from_undirected_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+
+
+@pytest.mark.parametrize("cfg", [K1, K2], ids=["k1", "k2"])
+@pytest.mark.parametrize("g", [STAR, K33], ids=["star", "k33"])
+def test_twin_swaps_and_descents_give_the_brute_orbits(g, cfg):
+    system = compute_orbits(g, cfg)
+    assert system.status == CERTIFIED
+    assert system.partition.same_blocks(brute_orbits(g))
+    assert closure_orbits(g.n, system.generators).same_blocks(system.partition)
+
+
+def test_k33_mixes_twin_swaps_with_a_descent_across_its_sides():
+    system = compute_orbits(K33, K1)
+    # Vertices of one side are twins; the two sides are not, so joining
+    # them takes a descent.
+    assert any(_is_transposition(w) for w in system.generators)
+    assert any(w(0) >= 3 for w in system.generators)
+    assert system.stats.verify_tree_nodes > 0
+
+
 # ------------------------------------------------------- candidate order
 
 

@@ -2,8 +2,9 @@
 graphs, against brute force and against the engine with its k=1 gate
 forced, of the two forms of the k=1 pair terms against a per-entry
 reference, of refining fixes against refining the individualized graph,
-of stage_orbits against grouping by canonical form, and of the array
-scans of partitions against loop references."""
+of stage_orbits against grouping by canonical form, of the array
+scans of partitions against loop references, and of verify_merge's twin
+step on planted twins and half-twins."""
 
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -22,16 +23,19 @@ from autorbits import (
     RefinementConfig,
     apply_permutation,
     brute_iso,
+    brute_orbits,
     compute_orbits,
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
     individualize_sequence,
+    is_automorphism,
     iso_test,
     path_graph,
     petersen_graph,
     refine,
+    verify_merge,
 )
 from autorbits import engine, refinement
 from util import (
@@ -362,7 +366,7 @@ def _assert_scans_match(q, stable, exclude, attempted):
     coloring = SimpleNamespace(vertex_partition=q)
     assert engine._candidate_order(coloring, exclude) == reference_candidate_order(coloring, exclude)
     want = reference_merge_candidates(q, stable, attempted)
-    assert engine._merge_candidates(q, stable, attempted) == want
+    assert list(engine._merge_candidates(q, stable, attempted)) == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -387,3 +391,72 @@ def test_partition_scans_match_the_loop_references_on_reached_stages(case):
         part = stage.coloring.vertex_partition
         _assert_scans_match(part, stable, {0, g.n - 1}, set())
         _assert_scans_match(stable, part, set(stage.fixes), set())
+
+
+def _symmetrized(mat, perm):
+    """mat made invariant under perm, a permutation of order at most 3:
+    each pair takes the color of the first pair of its orbit, in row-major
+    order."""
+    cells = np.arange(mat.size).reshape(mat.shape)
+    first, power = cells, perm
+    for _ in range(2):
+        first = np.minimum(first, cells[np.ix_(power, power)])
+        power = perm[power]
+    return mat.reshape(-1)[first]
+
+
+@st.composite
+def planted_twin_cases(draw):
+    """A colored digraph with two planted vertices o1 and o2, and their swap.
+
+    They are twins (the swap is an automorphism), or half-twins that some
+    other automorphism maps onto each other, so that no refinement
+    separates them: with (o1 o2)(a b) an automorphism, row o2 is row o1
+    read through the swap but column o2 is not column o1 read through it,
+    or the other way round; or, with (o1 o2 a) an automorphism, c(o1, o2)
+    != c(o2, o1). Or nothing is planted.
+    """
+    n = draw(st.integers(2, 8))
+    cells = draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+    mat = np.array(cells, dtype=np.int64).reshape(n, n)
+    order = draw(st.permutations(range(n)))
+    o1, o2 = order[:2]
+    kinds = ("twins", "unplanted") + ("asymmetric",) * (n >= 3) + ("row", "column") * (n >= 4)
+    kind = draw(st.sampled_from(kinds))
+    swap = np.arange(n)
+    swap[[o1, o2]] = o2, o1
+    if kind == "twins":
+        mat = _symmetrized(mat, swap)
+    elif kind == "asymmetric":
+        a = order[2]
+        cycle = np.arange(n)
+        cycle[[o1, o2, a]] = o2, a, o1
+        mat = _symmetrized(mat, cycle)
+        mat[o2, o1] = mat[a, o2] = mat[o1, a] = (mat[o1, o2] + 1) % 3
+    elif kind in ("row", "column"):
+        a, b = order[2:4]
+        both = swap.copy()
+        both[[a, b]] = b, a
+        mat = _symmetrized(mat, both)
+        if kind == "column":
+            mat = mat.T
+        mat[o1, a] = mat[o1, b] = mat[o2, a] = mat[o2, b] = mat[o1, a]
+        mat[b, o1] = mat[a, o2] = (mat[a, o1] + 1) % 3
+        if kind == "column":
+            mat = mat.T
+    return EdgeColoredGraph(mat), o1, o2, Permutation(swap), RefinementConfig(k=draw(st.sampled_from((1, 2))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(planted_twin_cases())
+def test_twin_step_returns_only_verified_swaps(case):
+    g, o1, o2, swap, cfg = case
+    run = engine.Run(g, cfg)
+    w = verify_merge(run, OrderedPartition.singletons(g.n), o1, o2)
+    if is_automorphism(g, swap):
+        # Twins are merged by their swap, with no refine past the base stage.
+        assert w == swap
+        assert (run.stats.refine_calls, run.stats.verify_tree_nodes) == (1, 0)
+    else:
+        assert w is None or (is_automorphism(g, w) and w(o1) == o2)
+    assert compute_orbits(g, cfg).partition.same_blocks(brute_orbits(g))
