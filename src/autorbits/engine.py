@@ -417,16 +417,14 @@ def _descend(run1, run2, s1, s2, depth_budget, node_budget):
         s2 = run2._stage(fixes2 + (b,))
 
 
-def _merge_candidates(q, stable, attempted):
-    """Unordered pairs of q-classes sharing a stable class, not yet tried,
-    as pairs of first members. The pairs are yielded lazily, so a sweep
-    step that merges stops the enumeration."""
+def _merge_candidates(q, stable):
+    """Unordered pairs of q-classes sharing a stable class, as first-member
+    pairs in (stable id, a, b) order, yielded lazily. A run calls this once:
+    q only coarsens, so a later call would find no untried pair."""
     firsts = q.first_members()
-    stable_of = stable.class_of[firsts]
-    order = np.lexsort((firsts, stable_of))
-    groups = np.split(firsts[order], np.flatnonzero(np.diff(stable_of[order])) + 1)
-    pairs = (itertools.combinations(group.tolist(), 2) for group in groups)
-    return (key for key in itertools.chain.from_iterable(pairs) if key not in attempted)
+    firsts = firsts[np.lexsort((firsts, stable.class_of[firsts]))]
+    groups = np.split(firsts, np.flatnonzero(np.diff(stable.class_of[firsts])) + 1)
+    return itertools.chain.from_iterable(itertools.combinations(group.tolist(), 2) for group in groups)
 
 
 def _check_budget(budget):
@@ -439,8 +437,8 @@ def compute_orbits(g, cfg=None, budget=None):
     """Accumulate an automorphic partition until it meets the stable coloring.
 
     Each iteration seeds a fresh fix sequence from the next class of the
-    current partition, finds a regular stage, joins in the stage's orbit
-    partition, then sweeps still-separated class pairs with verify_merge.
+    partition, finds a regular stage and joins in its orbit partition; the
+    first alone then sweeps class pairs with verify_merge (see _verify_sweep).
     Status is certified when the partition reaches the stable coloring
     (sandwich certificate). Otherwise the run ends lower_bound, either when
     budget iterations are spent (default n - 1; budget 0 runs none) or when
@@ -453,22 +451,21 @@ def compute_orbits(g, cfg=None, budget=None):
     stable = run._stage(()).coloring.vertex_partition
     q = OrderedPartition.singletons(g.n)
     generators = {}
-    attempted = set()
     max_iters = budget if budget is not None else max(1, g.n - 1)
-    seed_ptr = 0
     no_change = 0
 
-    for _ in range(max_iters):
+    for i in range(max_iters):
         if q.same_blocks(stable):
             break
         before = q
-        seed = int(q.first_members()[seed_ptr % q.class_count])
-        seed_ptr += 1
+        seed = int(q.first_members()[i % q.class_count])
         stage = _regular_stage(run, seed)
         part, new_gens = stage_orbits(run, stage)
         generators.update(dict.fromkeys(new_gens))
         q = partition_join(q, part)
-        q = _verify_sweep(run, q, stable, generators, attempted)
+        if i == 0:
+            # q only coarsens, so a later sweep would find only pairs tried here.
+            q = _verify_sweep(run, q, stable, generators)
         if q.same_blocks(before):
             no_change += 1
             if no_change >= max(1, q.class_count - 1):
@@ -483,19 +480,21 @@ def compute_orbits(g, cfg=None, budget=None):
     return OrbitSystem(q, tuple(generators), status, run.stats)
 
 
-def _verify_sweep(run, q, stable, generators, attempted):
-    """Try _verify_merge on the first members of candidate class pairs
-    until none succeeds; witnesses are added to the generators dict."""
-    while not q.same_blocks(stable):
-        for key in _merge_candidates(q, stable, attempted):
-            attempted.add(key)
-            witness = _verify_merge(run, *key)
-            if witness is not None:
-                generators[witness] = None
-                q = partition_join(q, closure_orbits(run.g.n, [witness]))
+def _verify_sweep(run, q, stable, generators):
+    """Try _verify_merge once on each candidate pair still of first members,
+    adding witnesses to generators, until q meets stable. q only coarsens,
+    so no candidate is left untried and the run needs no second sweep."""
+    first_of = q.first_members()[q.class_of]
+    for o1, o2 in _merge_candidates(q, stable):
+        if first_of[o1] != o1 or first_of[o2] != o2:
+            continue
+        witness = _verify_merge(run, o1, o2)
+        if witness is not None:
+            generators[witness] = None
+            q = partition_join(q, closure_orbits(run.g.n, [witness]))
+            if q.same_blocks(stable):
                 break
-        else:
-            break
+            first_of = q.first_members()[q.class_of]
     return q
 
 

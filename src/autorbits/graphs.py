@@ -165,8 +165,11 @@ def from_adjacency(adj):
 
 
 def from_undirected_edges(n, edges):
-    """``from_adjacency`` of an edge list on vertices [0, n)."""
-    adj = np.zeros((n, n), dtype=bool)
+    """``from_adjacency`` of an edge list on vertices [0, n). ValueError
+    unless n is an integer >= 1 (a bool counts)."""
+    if not (is_integer(n) and n >= 1):
+        raise ValueError(f"graph order must be an integer >= 1, got {n!r}")
+    adj = np.zeros((int(n), int(n)), dtype=bool)
     for u, v in int_array(list(edges)).tolist():
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")

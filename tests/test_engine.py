@@ -40,6 +40,7 @@ from autorbits import (
 )
 from autorbits import engine, refinement
 from util import (
+    cycle_union,
     paley_graph,
     random_permutation,
     random_simple_graph,
@@ -589,6 +590,34 @@ def test_k33_mixes_twin_swaps_with_a_descent_across_its_sides():
     assert any(_is_transposition(w) for w in system.generators)
     assert any(w(0) >= 3 for w in system.generators)
     assert system.stats.verify_tree_nodes > 0
+
+
+@pytest.mark.parametrize("name", ["cubic40", "c20+c21"])
+def test_compute_orbits_sweeps_once_and_tries_each_pair_once(monkeypatch, name):
+    # Both runs end lower_bound after idle iterations, which a sweep per
+    # iteration would each enumerate again.
+    networkx = pytest.importorskip("networkx")
+    if name == "cubic40":
+        g = from_undirected_edges(40, networkx.random_regular_graph(3, 40, seed=40).edges())
+    else:
+        g = cycle_union(20, 21)
+    enumerations, pairs = [], []
+    real_candidates, real_merge = engine._merge_candidates, engine._verify_merge
+
+    def candidates(*args):
+        enumerations.append(args)
+        return real_candidates(*args)
+
+    def merge(run, o1, o2):
+        pairs.append((o1, o2))
+        return real_merge(run, o1, o2)
+
+    monkeypatch.setattr(engine, "_merge_candidates", candidates)
+    monkeypatch.setattr(engine, "_verify_merge", merge)
+    system = compute_orbits(g, K1)
+    assert system.status == LOWER_BOUND
+    assert len(enumerations) == 1
+    assert pairs and len(set(pairs)) == len(pairs)
 
 
 # ------------------------------------------------------- candidate order

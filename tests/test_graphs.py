@@ -12,6 +12,7 @@ from autorbits import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     from_undirected_edges,
     is_automorphism,
     path_graph,
@@ -57,6 +58,19 @@ def test_constructor_rejects_bad_input():
 def test_public_constructors_refuse_non_integers(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0, "3", np.float64(3)], ids=repr)
+def test_edge_lists_refuse_an_order_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match="graph order"):
+        from_undirected_edges(n, [])
+
+
+def test_named_graphs_of_order_zero_are_refused():
+    for build in (complete_graph, empty_graph, cycle_graph, path_graph):
+        with pytest.raises(ValueError, match="graph order"):
+            build(0)
+    assert from_undirected_edges(True, []).n == from_undirected_edges(np.int64(1), []).n == 1
 
 
 def test_boolean_color_matrices_are_accepted():

@@ -3,7 +3,8 @@ graphs, against brute force and against the engine with its k=1 gate
 forced, of the two forms of the k=1 pair terms against a per-entry
 reference, of refining fixes against refining the individualized graph,
 of stage_orbits against grouping by canonical form, of the array
-scans of partitions against loop references, and of verify_merge's twin
+scans of partitions against loop references, of compute_orbits against
+a reference that sweeps in every iteration, and of verify_merge's twin
 step on planted twins and half-twins."""
 
 from dataclasses import asdict
@@ -29,6 +30,7 @@ from autorbits import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    from_undirected_edges,
     individualize_sequence,
     is_automorphism,
     iso_test,
@@ -39,6 +41,7 @@ from autorbits import (
 )
 from autorbits import engine, refinement
 from util import (
+    cycle_union,
     exact_wl,
     form_grouped_stage_orbits,
     graph_from_bitmask,
@@ -46,6 +49,7 @@ from util import (
     per_entry_k1_sums,
     reference_candidate_order,
     reference_classes,
+    reference_compute_orbits,
     reference_merge_candidates,
     rook_graph_4x4,
     shrikhande_graph,
@@ -359,23 +363,19 @@ def scan_cases(draw):
     return q, stable, exclude
 
 
-def _assert_scans_match(q, stable, exclude, attempted):
+def _assert_scans_match(q, stable, exclude):
     classes = reference_classes(q)
     assert q.classes == classes
     assert q.first_members().tolist() == [members[0] for members in classes]
     coloring = SimpleNamespace(vertex_partition=q)
     assert engine._candidate_order(coloring, exclude) == reference_candidate_order(coloring, exclude)
-    want = reference_merge_candidates(q, stable, attempted)
-    assert list(engine._merge_candidates(q, stable, attempted)) == want
+    assert list(engine._merge_candidates(q, stable)) == reference_merge_candidates(q, stable)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(scan_cases(), st.data())
-def test_partition_scans_match_the_loop_references_on_class_maps(case, data):
-    q, stable, exclude = case
-    pairs = reference_merge_candidates(q, stable, set())
-    attempted = set(data.draw(st.lists(st.sampled_from(pairs)))) if pairs else set()
-    _assert_scans_match(q, stable, exclude, attempted)
+@given(scan_cases())
+def test_partition_scans_match_the_loop_references_on_class_maps(case):
+    _assert_scans_match(*case)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -389,8 +389,52 @@ def test_partition_scans_match_the_loop_references_on_reached_stages(case):
     stable = run.stage(()).coloring.vertex_partition
     for stage in list(run._stages.values()):
         part = stage.coloring.vertex_partition
-        _assert_scans_match(part, stable, {0, g.n - 1}, set())
-        _assert_scans_match(stable, part, set(stage.fixes), set())
+        _assert_scans_match(part, stable, {0, g.n - 1})
+        _assert_scans_match(stable, part, set(stage.fixes))
+
+
+
+def _assert_orbits_match_the_reference(g, cfg, budget=None):
+    got = compute_orbits(g, cfg, budget)
+    want = reference_compute_orbits(g, cfg, budget)
+    assert got.status == want.status
+    assert got.partition == want.partition
+    assert [w.as_list() for w in got.generators] == [w.as_list() for w in want.generators]
+    assert asdict(got.stats) == asdict(want.stats)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stage_cases(), st.sampled_from((None, 0, 1, 2, 3)))
+def test_compute_orbits_matches_the_sweep_per_iteration_reference(case, budget):
+    _assert_orbits_match_the_reference(*case, budget)
+
+
+# Random small graphs seldom merge past their stage orbits or idle after
+# the first sweep; these do both.
+SWEEP_CASES = {
+    "q3@k1": (hypercube_graph(3), 1),
+    "q3@k2": (hypercube_graph(3), 2),
+    "q4@k1": (hypercube_graph(4), 1),
+    "q4@k2": (hypercube_graph(4), 2),
+    "rook4@k2": (rook_graph_4x4(), 2),
+    "shrikhande@k2": (shrikhande_graph(), 2),
+    "c3+c4@k1": (cycle_union(3, 4), 1),
+    "3c3+3c4@k1": (cycle_union(3, 3, 3, 4, 4, 4), 1),
+    "c20+c21@k1": (cycle_union(20, 21), 1),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_CASES)
+def test_compute_orbits_matches_the_sweep_per_iteration_reference_on_named_graphs(name):
+    g, k = SWEEP_CASES[name]
+    _assert_orbits_match_the_reference(g, RefinementConfig(k=k))
+
+
+@pytest.mark.parametrize("n", range(20, 41, 2))
+def test_compute_orbits_matches_the_sweep_per_iteration_reference_on_rigid_cubics(n):
+    networkx = pytest.importorskip("networkx")
+    g = from_undirected_edges(n, networkx.random_regular_graph(3, n, seed=n).edges())
+    _assert_orbits_match_the_reference(g, RefinementConfig(k=1))
 
 
 def _symmetrized(mat, perm):

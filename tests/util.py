@@ -5,15 +5,21 @@ from itertools import product
 import numpy as np
 
 from autorbits import (
+    CERTIFIED,
+    LOWER_BOUND,
     EdgeColoredGraph,
+    OrbitSystem,
+    OrderedPartition,
     ParseError,
     Permutation,
     WindowSet,
     canonical_form_discrete,
     closure_orbits,
+    engine,
     extract_isomorphism,
     formats,
     from_undirected_edges,
+    partition_join,
     refinement,
 )
 from autorbits.graphs import COLOR_LIMIT, from_adjacency
@@ -85,6 +91,16 @@ def hypercube_graph(d):
     return from_undirected_edges(1 << d, edges)
 
 
+def cycle_union(*lengths):
+    """Simple graph whose components are cycles of the given lengths. At
+    k=1 refinement cannot tell its vertices apart."""
+    edges, start = [], 0
+    for m in lengths:
+        edges += [(start + i, start + (i + 1) % m) for i in range(m)]
+        start += m
+    return from_undirected_edges(start, edges)
+
+
 def form_grouped_stage_orbits(run, stage):
     """Reference for engine.stage_orbits that groups the discrete one-vertex
     extensions by their full canonical form: the first extension with a
@@ -128,7 +144,7 @@ def reference_candidate_order(coloring, exclude=()):
     return [v for members in classes if len(members) > 1 for v in members if v not in exclude]
 
 
-def reference_merge_candidates(q, stable, attempted):
+def reference_merge_candidates(q, stable):
     """Reference for engine._merge_candidates."""
     by_stable = {}
     for members in reference_classes(q):
@@ -138,10 +154,54 @@ def reference_merge_candidates(q, stable, attempted):
         group.sort(key=lambda m: m[0])
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
-                key = (group[i][0], group[j][0])
-                if key not in attempted:
-                    pairs.append(key)
+                pairs.append((group[i][0], group[j][0]))
     return pairs
+
+
+def reference_compute_orbits(g, cfg=None, budget=None):
+    """Reference for engine.compute_orbits that sweeps in every iteration.
+
+    Each sweep enumerates the merge candidates of the current partition
+    afresh, skips the pairs that the run tried before (one set of them per
+    run) and starts over after each merge, until a pass merges nothing or
+    the partition meets the stable coloring. The stages, stage orbits and
+    merges come from the engine's own _regular_stage, stage_orbits and
+    _verify_merge.
+    """
+    run = engine.Run(g, cfg)
+    stable = run._stage(()).coloring.vertex_partition
+    q = OrderedPartition.singletons(g.n)
+    generators = {}
+    attempted = set()
+    max_iters = budget if budget is not None else max(1, g.n - 1)
+    no_change = 0
+    for i in range(max_iters):
+        if q.same_blocks(stable):
+            break
+        before = q
+        stage = engine._regular_stage(run, int(q.first_members()[i % q.class_count]))
+        part, new_gens = engine.stage_orbits(run, stage)
+        generators.update(dict.fromkeys(new_gens))
+        q = partition_join(q, part)
+        while not q.same_blocks(stable):
+            untried = [key for key in reference_merge_candidates(q, stable) if key not in attempted]
+            for key in untried:
+                attempted.add(key)
+                witness = engine._verify_merge(run, *key)
+                if witness is not None:
+                    generators[witness] = None
+                    q = partition_join(q, closure_orbits(g.n, [witness]))
+                    break
+            else:
+                break
+        if q.same_blocks(before):
+            no_change += 1
+            if no_change >= max(1, q.class_count - 1):
+                break
+        else:
+            no_change = 0
+    status = CERTIFIED if q.same_blocks(stable) else LOWER_BOUND
+    return OrbitSystem(q, tuple(generators), status, run.stats)
 
 
 def all_set_partitions(items):
