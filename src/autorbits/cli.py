@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
 import traceback
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from .assembly import is_assembled, project_to_vertices
@@ -207,10 +209,46 @@ def build_parser():
     return parser
 
 
+def _indented_json(value, indent=""):
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, with
+    indent after each line break. Strings, ints, floats, booleans, None,
+    lists, tuples and str-keyed dicts are written here, and a list of ints
+    with one join, since reports hold long lists of int lists; anything
+    else is left to json.dumps, whose lines then take the indent."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, (bool, float)):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        brackets = "[]"
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        elif set(map(type, value)) == {list} and set(map(type, itertools.chain.from_iterable(value))) <= {int}:
+            start, comma, end = f"[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
+            items = [start + comma.join(map(int.__repr__, v)) + end if v else "[]" for v in value]
+        else:
+            items = [_indented_json(v, inner) for v in value]
+    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}" for k, v in sorted(value.items())]
+    else:
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def emit_report(payload, json_mode):
-    """Render a result payload deterministically."""
+    """Render a result payload deterministically. The JSON report is the
+    bytes of json.dumps(payload, sort_keys=True, indent=2), written without
+    its pure-Python indenting encoder."""
     if json_mode:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _indented_json(payload) + "\n"
     lines = []
     for key in sorted(payload):
         value = payload[key]

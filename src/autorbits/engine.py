@@ -90,7 +90,8 @@ class Run:
     stages from the store. A stage is refined from the graph and its
     fixes, so at k=1 no individualized copy of the graph is made. At k=1
     the run builds the graph's k=1 pair terms once and passes them to every
-    refine; at k >= 2 every k=1 pass builds and frees its own."""
+    refine; at k >= 2 every k=1 pass builds and frees its own. The
+    distance profiles that verify_merge reads are computed on first use."""
 
     def __init__(self, g, cfg=None, stats=None):
         self.g = g
@@ -98,6 +99,8 @@ class Run:
         self._k1_terms = build_k1_terms(g) if self.cfg.k == 1 else None
         self.stats = stats if stats is not None else RunStats()
         self._stages = {}
+        self._arcs = None
+        self._profiles = {}
 
     def stage(self, fixes):
         """Stage of a fix sequence, refined once per run and then recalled.
@@ -148,6 +151,47 @@ class Run:
             if coloring.is_discrete():
                 return coloring
         return refine(self.g, self.cfg, fixes, self._k1_terms)
+
+    def _profile(self, v):
+        """Distance profile of vertex v and its sorted form, as bytes.
+
+        The profile holds the BFS distances from v (row 0) and to v (the
+        last row) along the arcs of g: the off-diagonal pairs whose color
+        is not the background, the most frequent off-diagonal color (the
+        smaller id on a tie). A vertex out of reach reads n. When the arcs
+        are symmetric the two rows are one. An automorphism preserves
+        colors, so it maps arcs to arcs and the profile of v onto that of
+        its image, column by column. Each profile is computed once per run.
+        """
+        out = self._profiles.get(v)
+        if out is None:
+            if self._arcs is None:
+                self._arcs = _arc_sets(self.g)
+            dist = np.stack([_distances(arcs, v) for arcs in self._arcs])
+            out = self._profiles[v] = dist, np.sort(dist[0] * np.int64(self.g.n + 1) + dist[-1]).tobytes()
+        return out
+
+
+def _arc_sets(g):
+    """The arcs of g (see Run._profile) as a boolean matrix, alone when it
+    is symmetric and else with its transpose, the arcs reversed."""
+    off = ~np.eye(g.n, dtype=bool)
+    values, counts = np.unique(g.colors[off], return_counts=True)
+    arcs = off & (g.colors != values[np.argmax(counts)])
+    return (arcs,) if np.array_equal(arcs, arcs.T) else (arcs, np.ascontiguousarray(arcs.T))
+
+
+def _distances(arcs, v):
+    """BFS distances from v along arcs, n where v does not reach."""
+    n = arcs.shape[0]
+    dist = np.full(n, n, dtype=np.int16 if n < 1 << 15 else np.int32)
+    dist[v] = 0
+    frontier, d = [v], 0
+    while len(frontier):
+        d += 1
+        frontier = np.flatnonzero(arcs[frontier].any(axis=0) & (dist == n))
+        dist[frontier] = d
+    return dist
 
 
 def _candidate_order(coloring, exclude=()):
@@ -293,16 +337,23 @@ def verify_merge(run, q_partition, class_a, class_b):
     twin step comes first: when the transposition (o1 o2) is itself an
     automorphism (o1 and o2 are twins: every other vertex sees them alike,
     and so do they each other), it is the witness, found by two O(n)
-    comparisons and no refine. Else the search grows a fix sequence that
-    keeps o1 and o2 in a common color class for as long as possible, then
-    co-individualizes them and descends the resulting pair of colorings in
-    lock step, one co-fixed vertex pair per level. The descent is cut at
-    depth ceil(log2 n) + 1 and after max(64, 8 n) nodes. Either witness is
-    verified entrywise before it is returned; None is *not* a proof that
-    the classes are separate. q_partition must be a partition of run.g's
-    vertices (SizeMismatchError otherwise), and the two classes distinct
-    integer ids in [0, class_count) (ValueError otherwise; a bool counts
-    as an integer).
+    comparisons and no refine. Else the distance profiles of o1 and o2
+    (Run._profile) come next. If their sorted forms differ, no automorphism
+    maps o1 to o2, and the search ends with no refine. Else the search
+    grows a fix sequence that keeps o1 and o2 in a common color class for
+    as long as possible, then co-individualizes them and descends the
+    resulting pair of colorings in lock step, one co-fixed vertex pair per
+    level. The fix sequence never tries a vertex y at unequal distances to
+    or from o1 and o2: refinement with y fixed splits vertices by their
+    distances to and from y, so y would separate them. Neither use of the
+    profiles can change an answer, unless a refinement hash collision
+    would have kept together two classes that exact refinement splits.
+    The descent is cut at depth ceil(log2 n) + 1 and after max(64, 8 n)
+    nodes. Either witness is verified entrywise before it is returned;
+    None is *not* a proof that the classes are separate. q_partition must
+    be a partition of run.g's vertices (SizeMismatchError otherwise), and
+    the two classes distinct integer ids in [0, class_count) (ValueError
+    otherwise; a bool counts as an integer).
     """
     if q_partition.n != run.g.n:
         raise SizeMismatchError("partition size does not match graph order")
@@ -325,7 +376,12 @@ def _verify_merge(run, o1, o2):
         return None
     witness = _twin_swap(run.g, o1, o2)
     if witness is None:
-        stage = _extend(run, stage, together, exclude={o1, o2})
+        (dist1, sorted1), (dist2, sorted2) = run._profile(o1), run._profile(o2)
+        if sorted1 != sorted2:
+            return None
+        # o1 and o2 are among these: each is at distance 0 from itself only.
+        apart = np.flatnonzero((dist1 != dist2).any(axis=0)).tolist()
+        stage = _extend(run, stage, together, exclude=apart)
         n = run.g.n
         t1 = run._stage(stage.fixes + (o1,))
         t2 = run._stage(stage.fixes + (o2,))

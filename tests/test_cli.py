@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autorbits import complete_graph, cycle_graph, emit_cdg, path_graph
 from util import rigid6
@@ -403,3 +405,56 @@ def test_order_above_exact_refinement_is_a_resource_limit(tmp_path, monkeypatch,
     out = capsys.readouterr()
     assert out.out == ""
     assert "resource limit" in out.err and "Traceback" not in out.err
+
+
+def _report_cases(tmp_path):
+    c5 = write_graph(tmp_path, "c5.cdg", cycle_graph(5))
+    p5 = write_graph(tmp_path, "p5.cdg", path_graph(5))
+    rigid = write_graph(tmp_path, "rigid.cdg", rigid6())
+    return [
+        ["orbits", c5], ["orbits", rigid, "--k", "1"], ["auts", p5], ["iso", c5, c5], ["iso", c5, p5],
+        ["refine", p5, "--k", "1"], ["oracle-orbits", p5], ["oracle-aut", c5], ["verify", c5],
+        ["verify", c5, "--budget", "0"], ["assembly", str(DATA / "assembled2.ws")],
+        ["assembly", str(DATA / "broken2.ws")],
+    ]
+
+
+def test_json_report_is_the_bytes_of_indented_json_dumps(tmp_path, monkeypatch, capsys):
+    from autorbits import cli as cli_module
+
+    payloads = []
+    real = cli_module.emit_report
+
+    def spy(payload, json_mode):
+        payloads.append(payload)
+        return real(payload, json_mode)
+
+    monkeypatch.setattr(cli_module, "emit_report", spy)
+    cases = _report_cases(tmp_path)
+    assert {argv[0] for argv in cases} == set(cli_module.COMMANDS)
+    for argv in cases:
+        cli_module.main(argv + ["--json"])
+        assert capsys.readouterr().out == json.dumps(payloads[-1], sort_keys=True, indent=2) + "\n"
+    assert len(payloads) == len(cases)
+
+
+_scalars = (
+    st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+    | st.sampled_from(["", "\"\\/\b\f\n\r\t", "\x00\x1f\x7f", "é ß 漢字 🙂"])
+)
+_reports = st.recursive(
+    _scalars | st.lists(st.lists(st.integers())),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(st.integers(), inner)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_reports)
+def test_json_report_of_nested_values_is_the_bytes_of_indented_json_dumps(value):
+    from autorbits.cli import emit_report
+
+    assert emit_report({"value": value}, True) == json.dumps({"value": value}, sort_keys=True, indent=2) + "\n"
+    if isinstance(value, dict):
+        assert emit_report(value, True) == json.dumps(value, sort_keys=True, indent=2) + "\n"

@@ -41,6 +41,7 @@ from autorbits import (
 from autorbits import engine, refinement
 from util import (
     cycle_union,
+    hypercube_graph,
     paley_graph,
     random_permutation,
     random_simple_graph,
@@ -542,6 +543,87 @@ def test_verify_merge_separated_by_base_coloring_refines_once():
     run = Run(g, K1)
     assert verify_merge(run, q, 0, 1) is None
     assert run.stats.refine_calls == 1
+
+
+def test_distance_profiles_settle_a_hopeless_merge_with_no_refine():
+    # Refinement cannot tell the vertices of C5 from those of C6 apart at
+    # k=1, but their distances can, so no stage is refined or descended.
+    run = Run(cycle_union(5, 6), K1)
+    run._stage(())
+    before = (run.stats.refine_calls, run.stats.verify_tree_nodes)
+    assert engine._verify_merge(run, 0, 5) is None
+    assert (run.stats.refine_calls, run.stats.verify_tree_nodes) == before
+
+
+def test_verify_merge_never_fixes_a_vertex_the_distances_show_apart(monkeypatch):
+    # In Q5 every vertex but 0 and 1 is one step nearer to one of them, so
+    # fixing it splits them: the search co-individualizes them at once.
+    g = hypercube_graph(5)
+    asked = []
+    real = Run._stage
+
+    def spy(run, fixes):
+        asked.append(fixes)
+        return real(run, fixes)
+
+    monkeypatch.setattr(Run, "_stage", spy)
+    run = Run(g, K2)
+    witness = engine._verify_merge(run, 0, 1)
+    assert witness is not None and witness(0) == 1
+    apart = [y for y in range(32) if bin(y).count("1") != bin(y ^ 1).count("1")]
+    assert len(apart) == 32
+    assert {fixes for fixes in asked if len(fixes) == 1 and fixes[0] in apart} == {(0,), (1,)}
+
+
+def _networkx_distances(g, networkx):
+    """Distances from and to each vertex along g's off-diagonal pairs whose
+    color is not the most frequent one off the diagonal (the smaller on a
+    tie), n where there is no path."""
+    n = g.n
+    counts = {}
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                counts[int(g.colors[u, v])] = counts.get(int(g.colors[u, v]), 0) + 1
+    background = min(counts, key=lambda c: (-counts[c], c))
+    digraph = networkx.DiGraph()
+    digraph.add_nodes_from(range(n))
+    digraph.add_edges_from((u, v) for u in range(n) for v in range(n) if u != v and g.colors[u, v] != background)
+    for v in range(n):
+        out = networkx.shortest_path_length(digraph, source=v)
+        into = networkx.shortest_path_length(digraph, target=v)
+        yield v, [out.get(u, n) for u in range(n)], [into.get(u, n) for u in range(n)]
+
+
+def test_distance_profiles_match_networkx_shortest_paths():
+    networkx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(24)
+    for trial in range(80):
+        n = int(rng.integers(2, 13))
+        weights = rng.dirichlet(np.ones(3))
+        mat = rng.choice(3, size=(n, n), p=weights)
+        if trial % 2:
+            mat = np.triu(mat) + np.triu(mat, 1).T
+        g = EdgeColoredGraph(mat)
+        run = Run(g, K1)
+        profiles = {}
+        for v, out, into in _networkx_distances(g, networkx):
+            dist, key = run._profile(v)
+            assert dist[0].tolist() == out and dist[-1].tolist() == into
+            profiles[key] = profiles.get(key, set()) | {tuple(sorted(zip(out, into)))}
+        # The sorted form is equal exactly when the (from, to) multisets are.
+        assert all(len(pairs) == 1 for pairs in profiles.values())
+        assert len({pairs for both in profiles.values() for pairs in both}) == len(profiles)
+
+
+def test_runs_that_never_merge_compute_no_distances(monkeypatch):
+    def refuse(g):
+        raise AssertionError("distances were computed")
+
+    monkeypatch.setattr(engine, "_arc_sets", refuse)
+    g = petersen_graph()
+    assert iso_test(g, apply_permutation(g, random_permutation(np.random.default_rng(7), 10)), K1).verdict == ISOMORPHIC
+    assert compute_orbits(rigid6(), K2).status == CERTIFIED
 
 
 def _is_transposition(w):

@@ -4,8 +4,9 @@ forced, of the two forms of the k=1 pair terms against a per-entry
 reference, of refining fixes against refining the individualized graph,
 of stage_orbits against grouping by canonical form, of the array
 scans of partitions against loop references, of compute_orbits against
-a reference that sweeps in every iteration, and of verify_merge's twin
-step on planted twins and half-twins."""
+a reference that sweeps in every iteration, of verify_merge's twin step
+on planted twins and half-twins, and of compute_orbits against a
+verify_merge that reads no distance profiles."""
 
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -42,6 +43,7 @@ from autorbits import (
 from autorbits import engine, refinement
 from util import (
     cycle_union,
+    dodecahedron,
     exact_wl,
     form_grouped_stage_orbits,
     graph_from_bitmask,
@@ -51,6 +53,7 @@ from util import (
     reference_classes,
     reference_compute_orbits,
     reference_merge_candidates,
+    reference_verify_merge,
     rook_graph_4x4,
     shrikhande_graph,
 )
@@ -504,3 +507,87 @@ def test_twin_step_returns_only_verified_swaps(case):
     else:
         assert w is None or (is_automorphism(g, w) and w(o1) == o2)
     assert compute_orbits(g, cfg).partition.same_blocks(brute_orbits(g))
+
+
+def _assert_profiles_change_no_answer(g, cfg, budget=None):
+    got = compute_orbits(g, cfg, budget)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_verify_merge", reference_verify_merge)
+        want = compute_orbits(g, cfg, budget)
+    assert got.status == want.status
+    assert np.array_equal(got.partition.class_of, want.partition.class_of)
+    assert [w.as_list() for w in got.generators] == [w.as_list() for w in want.generators]
+    assert got.stats.refine_calls <= want.stats.refine_calls
+    assert got.stats.verify_tree_nodes <= want.stats.verify_tree_nodes
+
+
+def _circulant(by_offset, m):
+    """The m-vertex digraph whose pair (u, v) takes color by_offset[(v - u) % m]."""
+    v = np.arange(m)
+    return EdgeColoredGraph(np.asarray(by_offset)[(v[None, :] - v[:, None]) % m])
+
+
+@st.composite
+def symmetric_digraphs(draw):
+    """A relabeled colored digraph with automorphisms: a circulant with one
+    color per offset; the union of two cycles, directed or not, whose
+    vertices refinement cannot tell apart but distances can when their
+    lengths differ; or a random matrix made invariant under disjoint 2- or
+    3-cycles."""
+    colors = st.integers(0, 2)
+    kind = draw(st.sampled_from(("circulant", "cycles", "invariant")))
+    if kind == "circulant":
+        m = draw(st.integers(1, 9))
+        g = _circulant(draw(st.lists(colors, min_size=m, max_size=m)), m)
+    elif kind == "cycles":
+        rest, ahead, other = draw(st.permutations((0, 1, 2)))
+        loop, back = draw(colors), draw(st.sampled_from((ahead, other)))
+        m1, m2 = draw(st.integers(3, 5)), draw(st.integers(3, 4))
+        mat = np.full((m1 + m2, m1 + m2), rest)
+        for start, m in ((0, m1), (m1, m2)):
+            block = _circulant([loop, ahead] + [rest] * (m - 3) + [back], m)
+            mat[start:start + m, start:start + m] = block.colors
+        g = EdgeColoredGraph(mat)
+    else:
+        n = draw(st.integers(2, 9))
+        cells = draw(st.lists(colors, min_size=n * n, max_size=n * n))
+        length = draw(st.sampled_from((2, 3)))
+        order = draw(st.permutations(range(n)))
+        perm = np.arange(n)
+        for start in range(0, draw(st.integers(0, n // length)) * length, length):
+            cycle = order[start:start + length]
+            perm[cycle] = np.roll(cycle, 1)
+        g = EdgeColoredGraph(_symmetrized(np.array(cells).reshape(n, n), perm))
+    g = apply_permutation(g, Permutation(np.array(draw(st.permutations(range(g.n))), dtype=np.int64)))
+    return g, RefinementConfig(k=draw(st.sampled_from((1, 2))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(symmetric_digraphs(), st.sampled_from((None, 0, 1, 2, 3)))
+def test_distance_profiles_change_no_answer_on_random_digraphs(case, budget):
+    _assert_profiles_change_no_answer(*case, budget)
+
+
+PROFILE_CASES = {
+    **{f"q{d}@k{k}": (hypercube_graph(d), k) for d in (3, 4, 5) for k in (1, 2)},
+    **{f"{name}@k{k}": (g, k) for name, g in (
+        ("rook4", rook_graph_4x4()), ("shrikhande", shrikhande_graph()),
+        ("petersen", petersen_graph()), ("dodecahedron", dodecahedron()),
+    ) for k in (1, 2)},
+    "c3+c4@k1": (cycle_union(3, 4), 1),
+    "3c3+3c4@k1": (cycle_union(3, 3, 3, 4, 4, 4), 1),
+    "c20+c21@k1": (cycle_union(20, 21), 1),
+}
+
+
+@pytest.mark.parametrize("name", PROFILE_CASES)
+def test_distance_profiles_change_no_answer_on_named_graphs(name):
+    g, k = PROFILE_CASES[name]
+    _assert_profiles_change_no_answer(g, RefinementConfig(k=k))
+
+
+@pytest.mark.parametrize("n", range(20, 41, 2))
+def test_distance_profiles_change_no_answer_on_rigid_cubics(n):
+    networkx = pytest.importorskip("networkx")
+    g = from_undirected_edges(n, networkx.random_regular_graph(3, n, seed=n).edges())
+    _assert_profiles_change_no_answer(g, RefinementConfig(k=1))

@@ -19,6 +19,7 @@ from autorbits import (
     extract_isomorphism,
     formats,
     from_undirected_edges,
+    is_automorphism,
     partition_join,
     refinement,
 )
@@ -89,6 +90,14 @@ def hypercube_graph(d):
     """Q_d: vertices are d-bit words, adjacent when they differ in one bit."""
     edges = [(v, v ^ 1 << b) for v in range(1 << d) for b in range(d) if v < v ^ 1 << b]
     return from_undirected_edges(1 << d, edges)
+
+
+def dodecahedron():
+    """The generalized Petersen graph GP(10, 2): an outer 10-cycle, a spoke
+    from each outer vertex i to inner vertex 10 + i, and inner vertices two
+    steps apart joined."""
+    edges = [e for i in range(10) for e in ((i, (i + 1) % 10), (i, 10 + i), (10 + i, 10 + (i + 2) % 10))]
+    return from_undirected_edges(20, edges)
 
 
 def cycle_union(*lengths):
@@ -202,6 +211,31 @@ def reference_compute_orbits(g, cfg=None, budget=None):
             no_change = 0
     status = CERTIFIED if q.same_blocks(stable) else LOWER_BOUND
     return OrbitSystem(q, tuple(generators), status, run.stats)
+
+
+def reference_verify_merge(run, o1, o2):
+    """Reference for engine._verify_merge with no distance profiles: the
+    base-stage test, the twin step, then a fix sequence extended past o1
+    and o2 alone, and the descent."""
+
+    def together(stage):
+        class_of = stage.coloring.vertex_partition.class_of
+        return class_of[o1] == class_of[o2]
+
+    stage = run._stage(())
+    if not together(stage):
+        return None
+    witness = engine._twin_swap(run.g, o1, o2)
+    if witness is None:
+        stage = engine._extend(run, stage, together, exclude={o1, o2})
+        n = run.g.n
+        t1 = run._stage(stage.fixes + (o1,))
+        t2 = run._stage(stage.fixes + (o2,))
+        witness, _ = engine._descend(run, run, t1, t2, engine._default_depth_budget(n), max(64, 8 * n))
+        if witness is None:
+            return None
+    assert witness(o1) == o2 and is_automorphism(run.g, witness), "merge witness failed verification"
+    return witness
 
 
 def all_set_partitions(items):
