@@ -29,6 +29,8 @@ from .refinement import individualize_sequence  # noqa: F401  (the benchmark tra
 # Bound on one run's stage store, counted in stored vertex entries
 # (stages times n). A stored stage is O(n), so this caps the store's memory
 # while leaving room for every distinct fix sequence of a desk-scale run.
+# The store never holds fewer than n + 1 stages, so that one scan of a
+# stage and its one-vertex extensions always fits.
 STAGE_STORE_VERTICES = 1 << 18
 
 # Run.stage refines a stage at k=1 first once n^(k-1) reaches this.
@@ -107,7 +109,11 @@ class Run:
 
         The store is least-recently-used: a hit moves its key to the back
         and an insert evicts from the front, so frequently asked stages
-        (the base stage above all) stay resident.
+        (the base stage above all) stay resident. It holds
+        STAGE_STORE_VERTICES // n stages, but never fewer than n + 1: a
+        scan (_extend or stage_orbits) walks a stage and up to n of its
+        one-vertex extensions, and a store smaller than a repeated scan
+        would evict each stage before it is asked again.
 
         At k >= 2 with n^(k-1) >= ONE_WL_FIRST, the individualized graph is
         refined at k=1 first, and a discrete k=1 coloring is stored as the
@@ -138,7 +144,7 @@ class Run:
         if out is None:
             self.stats.refine_calls += 1
             out = StageGraph(base=self.g, fixes=fixes, coloring=self._refine(fixes))
-            capacity = max(1, STAGE_STORE_VERTICES // self.g.n)
+            capacity = max(self.g.n + 1, STAGE_STORE_VERTICES // self.g.n)
             if len(self._stages) >= capacity:
                 del self._stages[next(iter(self._stages))]
         self._stages[fixes] = out
@@ -333,23 +339,25 @@ def verify_merge(run, q_partition, class_a, class_b):
     """Search for an automorphism of run.g joining two classes of q_partition.
 
     The two classes are represented by their first members o1 and o2. If
-    the base stage separates them there is none to find. Otherwise the
-    twin step comes first: when the transposition (o1 o2) is itself an
-    automorphism (o1 and o2 are twins: every other vertex sees them alike,
-    and so do they each other), it is the witness, found by two O(n)
-    comparisons and no refine. Else the distance profiles of o1 and o2
-    (Run._profile) come next. If their sorted forms differ, no automorphism
-    maps o1 to o2, and the search ends with no refine. Else the search
-    grows a fix sequence that keeps o1 and o2 in a common color class for
-    as long as possible, then co-individualizes them and descends the
-    resulting pair of colorings in lock step, one co-fixed vertex pair per
-    level. The fix sequence never tries a vertex y at unequal distances to
-    or from o1 and o2: refinement with y fixed splits vertices by their
-    distances to and from y, so y would separate them. Neither use of the
-    profiles can change an answer, unless a refinement hash collision
-    would have kept together two classes that exact refinement splits.
-    The descent is cut at depth ceil(log2 n) + 1 and after max(64, 8 n)
-    nodes. Either witness is verified entrywise before it is returned;
+    the base stage separates them there is none to find. Otherwise one
+    step reads the distance profiles of o1 and o2 (Run._profile), with no
+    refine. If their sorted forms differ, no automorphism maps o1 to o2,
+    and the search ends. Else it finds the vertices at unequal distances
+    to or from o1 and o2, o1 and o2 among them. When those are o1 and o2
+    alone, the transposition (o1 o2) is proposed, and it is the witness if
+    it is an automorphism: an automorphism (o1 o2) keeps every other
+    vertex's distances to and from o1 and o2 equal, so every such swap is
+    found here. Else the search grows a fix sequence that keeps o1 and o2
+    in a common color class for as long as possible, then
+    co-individualizes them and descends the resulting pair of colorings in
+    lock step, one co-fixed vertex pair per level. The fix sequence never
+    tries a vertex at unequal distances: refinement with y fixed splits
+    vertices by their distances to and from y, so y would separate o1 and
+    o2. No use of the profiles can change an answer, unless a refinement
+    hash collision would have kept together two classes that exact
+    refinement splits. The descent is cut at depth ceil(log2 n) + 1 and
+    after max(64, 8 n) nodes. Either witness is verified entrywise before
+    it is returned;
     None is *not* a proof that the classes are separate. q_partition must
     be a partition of run.g's vertices (SizeMismatchError otherwise), and
     the two classes distinct integer ids in [0, class_count) (ValueError
@@ -374,44 +382,30 @@ def _verify_merge(run, o1, o2):
     stage = run._stage(())
     if not together(stage):
         return None
-    witness = _twin_swap(run.g, o1, o2)
+    (dist1, sorted1), (dist2, sorted2) = run._profile(o1), run._profile(o2)
+    if sorted1 != sorted2:
+        return None
+    # o1 and o2 are among these: each is at distance 0 from itself only.
+    apart = np.flatnonzero((dist1 != dist2).any(axis=0)).tolist()
+    n = run.g.n
+    if len(apart) == 2:
+        swap = np.arange(n)
+        swap[[o1, o2]] = o2, o1
+        swap = Permutation(swap)
+        if is_automorphism(run.g, swap):
+            return swap
+    stage = _extend(run, stage, together, exclude=apart)
+    t1 = run._stage(stage.fixes + (o1,))
+    t2 = run._stage(stage.fixes + (o2,))
+    # A successful search examines few graphs; a search past the node
+    # budget is already failing, so give up on the witness rather than
+    # enumerate.
+    witness, _ = _descend(run, run, t1, t2, _default_depth_budget(n), max(64, 8 * n))
     if witness is None:
-        (dist1, sorted1), (dist2, sorted2) = run._profile(o1), run._profile(o2)
-        if sorted1 != sorted2:
-            return None
-        # o1 and o2 are among these: each is at distance 0 from itself only.
-        apart = np.flatnonzero((dist1 != dist2).any(axis=0)).tolist()
-        stage = _extend(run, stage, together, exclude=apart)
-        n = run.g.n
-        t1 = run._stage(stage.fixes + (o1,))
-        t2 = run._stage(stage.fixes + (o2,))
-        # A successful search examines few graphs; a search past the node
-        # budget is already failing, so give up on the witness rather than
-        # enumerate.
-        witness, _ = _descend(run, run, t1, t2, _default_depth_budget(n), max(64, 8 * n))
-        if witness is None:
-            return None
+        return None
     if witness(o1) != o2 or not is_automorphism(run.g, witness):
         raise InternalInvariantError("merge witness failed verification")
     return witness
-
-
-def _twin_swap(g, o1, o2):
-    """The transposition (o1 o2) if it is an automorphism of g, else None.
-
-    With swap its image array, the swap is an automorphism iff
-    colors[swap][:, swap] equals colors. Only rows and columns o1 and o2
-    can differ. Row o2 of the left side is colors[o1, swap] and column o2
-    is colors[swap, o1], and row and column o1 agree exactly when these do
-    (put swap(v) for v). So the two comparisons decide it, the diagonal
-    and c(o1, o2) = c(o2, o1) included.
-    """
-    swap = np.arange(g.n)
-    swap[[o1, o2]] = o2, o1
-    colors = g.colors
-    if np.array_equal(colors[o1, swap], colors[o2]) and np.array_equal(colors[swap, o1], colors[:, o2]):
-        return Permutation(swap)
-    return None
 
 
 def _descend(run1, run2, s1, s2, depth_budget, node_budget):

@@ -226,9 +226,11 @@ def test_stages_that_one_wl_leaves_open_get_the_k2_refine(monkeypatch):
     assert stage.coloring.trace_digest == refine(g, K2).trace_digest
 
 
-@pytest.mark.parametrize("g", [petersen_graph(), complete_graph(8)], ids=["petersen", "k8"])
-def test_bounded_stage_store_gives_the_same_orbits(g, monkeypatch):
-    default = compute_orbits(g, K2)
+def test_bounded_stage_store_gives_the_same_orbits(monkeypatch):
+    # 3C3+3C4 idles through iterations that revisit more stages than the
+    # store's floor of n + 1 holds, so the bounded run refines some again.
+    g = cycle_union(3, 3, 3, 4, 4, 4)
+    default = compute_orbits(g, K1)
     bound = 3 * g.n
     monkeypatch.setattr(engine, "STAGE_STORE_VERTICES", bound)
     stored = engine.Run._stage
@@ -240,14 +242,28 @@ def test_bounded_stage_store_gives_the_same_orbits(g, monkeypatch):
         return out
 
     monkeypatch.setattr(engine.Run, "_stage", checked_stage)
-    small = compute_orbits(g, K2)
-    assert sizes and max(sizes) <= bound
+    small = compute_orbits(g, K1)
+    assert sizes and max(sizes) <= max(bound, (g.n + 1) * g.n)
     assert small.partition == default.partition
-    assert small.status == default.status == CERTIFIED
+    assert small.status == default.status == LOWER_BOUND
     assert [w.as_list() for w in small.generators] == [
         w.as_list() for w in default.generators
     ]
     assert small.stats.refine_calls > default.stats.refine_calls
+
+
+@pytest.mark.parametrize("budget", [1, 3, None])
+def test_stage_store_holds_a_scan_of_every_extension(monkeypatch, budget):
+    # A rigid cubic graph idles through its iterations, each a scan of the
+    # base stage's n extensions. A store of 800 // 40 = 20 stages would
+    # evict each extension before the next scan asks for it again; the
+    # floor of n + 1 stages keeps them all.
+    networkx = pytest.importorskip("networkx")
+    g = from_undirected_edges(40, networkx.random_regular_graph(3, 40, seed=40).edges())
+    monkeypatch.setattr(engine, "STAGE_STORE_VERTICES", 800)
+    system = compute_orbits(g, K1, budget)
+    assert system.status == LOWER_BOUND
+    assert system.stats.refine_calls == 41
 
 
 # ------------------------------------------------- forms and extraction
@@ -555,6 +571,48 @@ def test_distance_profiles_settle_a_hopeless_merge_with_no_refine():
     assert (run.stats.refine_calls, run.stats.verify_tree_nodes) == before
 
 
+def test_distance_profiles_settle_a_hopeless_merge_without_reading_the_graph():
+    # Once the base stage and both profiles are stored, unequal profiles
+    # end the merge before any pair color is read.
+    g = cycle_union(5, 6)
+    run = Run(g, K1)
+    run._stage(())
+    run._profile(0), run._profile(5)
+    run.g = SimpleNamespace(n=g.n)
+    assert engine._verify_merge(run, 0, 5) is None
+
+
+def _crossed_k24():
+    """K2,4 whose two-vertex side, 0 and 1, reaches 2, 3, 4, 5 by colors
+    1, 1, 2, 2 and 2, 2, 1, 1, with every arc back colored 2 more. Each of 0
+    and 1 reaches every other vertex in one step, but through other colors:
+    their swap is no automorphism, and (0 1)(2 4)(3 5) is one."""
+    mat = np.zeros((6, 6), dtype=np.int64)
+    mat[0, 2:] = mat[1, [4, 5, 2, 3]] = [1, 1, 2, 2]
+    mat[2:, :2] = mat[:2, 2:].T + 2
+    return EdgeColoredGraph(mat)
+
+
+CROSSED_K24 = _crossed_k24()
+
+
+def test_verify_merge_descends_when_the_proposed_swap_is_refused(monkeypatch):
+    checked = []
+
+    def spy(g, perm):
+        checked.append((perm.as_list(), is_automorphism(g, perm)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(engine, "is_automorphism", spy)
+    run = Run(CROSSED_K24, K1)
+    (dist0, _), (dist1, _) = run._profile(0), run._profile(1)
+    assert np.flatnonzero((dist0 != dist1).any(axis=0)).tolist() == [0, 1]
+    witness = engine._verify_merge(run, 0, 1)
+    assert checked[0] == ([1, 0, 2, 3, 4, 5], False)
+    assert witness.as_list() == [1, 0, 4, 5, 2, 3]
+    assert run.stats.verify_tree_nodes > 0
+
+
 def test_verify_merge_never_fixes_a_vertex_the_distances_show_apart(monkeypatch):
     # In Q5 every vertex but 0 and 1 is one step nearer to one of them, so
     # fixing it splits them: the search co-individualizes them at once.
@@ -657,7 +715,7 @@ K33 = from_undirected_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
 
 
 @pytest.mark.parametrize("cfg", [K1, K2], ids=["k1", "k2"])
-@pytest.mark.parametrize("g", [STAR, K33], ids=["star", "k33"])
+@pytest.mark.parametrize("g", [STAR, K33, CROSSED_K24], ids=["star", "k33", "crossed-k24"])
 def test_twin_swaps_and_descents_give_the_brute_orbits(g, cfg):
     system = compute_orbits(g, cfg)
     assert system.status == CERTIFIED

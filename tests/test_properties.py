@@ -4,9 +4,10 @@ forced, of the two forms of the k=1 pair terms against a per-entry
 reference, of refining fixes against refining the individualized graph,
 of stage_orbits against grouping by canonical form, of the array
 scans of partitions against loop references, of compute_orbits against
-a reference that sweeps in every iteration, of verify_merge's twin step
-on planted twins and half-twins, and of compute_orbits against a
-verify_merge that reads no distance profiles."""
+a reference that sweeps in every iteration, of verify_merge's swap of
+planted twins and half-twins, of compute_orbits against a verify_merge
+that reads no distance profiles, and of compute_orbits with its stage
+store at the floor of n + 1 stages."""
 
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -347,6 +348,29 @@ def test_stage_orbits_matches_grouping_by_canonical_form(case):
         want_part, want_gens = form_grouped_stage_orbits(run, stage)
         assert part.classes == want_part.classes
         assert [w.as_list() for w in gens] == [w.as_list() for w in want_gens]
+
+
+def _with_named_graphs_and_no_budget(test):
+    for g in NAMED_STAGE_GRAPHS:
+        for k in (1, 2):
+            test = example((g, RefinementConfig(k=k)), None)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stage_cases(), st.sampled_from((None, 0, 1, 2, 3)))
+@_with_named_graphs_and_no_budget
+def test_stage_store_at_its_floor_changes_no_answer(case, budget):
+    # STAGE_STORE_VERTICES = 1 leaves the floor of n + 1 stages.
+    g, cfg = case
+    want = compute_orbits(g, cfg, budget)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "STAGE_STORE_VERTICES", 1)
+        got = compute_orbits(g, cfg, budget)
+    assert got.status == want.status
+    assert np.array_equal(got.partition.class_of, want.partition.class_of)
+    assert [w.as_list() for w in got.generators] == [w.as_list() for w in want.generators]
+    assert got.stats.refine_calls >= want.stats.refine_calls
 
 
 @st.composite

@@ -225,7 +225,15 @@ def reference_verify_merge(run, o1, o2):
     stage = run._stage(())
     if not together(stage):
         return None
-    witness = engine._twin_swap(run.g, o1, o2)
+    # The twin step: the swap (o1 o2) is an automorphism exactly when row
+    # and column o2 are row and column o1 read through it, since only rows
+    # and columns o1 and o2 move.
+    swap = np.arange(run.g.n)
+    swap[[o1, o2]] = o2, o1
+    colors = run.g.colors
+    witness = None
+    if np.array_equal(colors[o1, swap], colors[o2]) and np.array_equal(colors[swap, o1], colors[:, o2]):
+        witness = Permutation(swap)
     if witness is None:
         stage = engine._extend(run, stage, together, exclude={o1, o2})
         n = run.g.n
