@@ -83,7 +83,7 @@ def _orbit_fields(system):
 
 
 def _orbits(args, g):
-    system = compute_orbits(g, RefinementConfig(k=args.k), args.budget)
+    system = compute_orbits(g, RefinementConfig(k=args.k))
     return _orbit_fields(system), system.stats, EXIT_OK
 
 
@@ -121,7 +121,7 @@ def _oracle_aut(args, g):
 
 
 def _verify(args, g):
-    system = compute_orbits(g, RefinementConfig(k=args.k), args.budget)
+    system = compute_orbits(g, RefinementConfig(k=args.k))
     oracle_partition = brute_orbits(g, args.max_n)
     match = system.partition.same_blocks(oracle_partition)
     if system.status == CERTIFIED and not match:
@@ -162,10 +162,8 @@ class Command(NamedTuple):
 
 
 COMMANDS = {
-    "orbits": Command("orbit partition and generators of a graph", GRAPH,
-                      ("--k", "--budget"), _orbits),
-    "auts": Command("automorphism generators found by the engine", GRAPH,
-                    ("--k", "--budget"), _orbits),
+    "orbits": Command("orbit partition and generators of a graph", GRAPH, ("--k",), _orbits),
+    "auts": Command("automorphism generators found by the engine", GRAPH, ("--k",), _orbits),
     "iso": Command("test two graphs for isomorphism", PAIR, ("--k", "--budget"), _iso),
     "refine": Command("stable coloring of a graph", GRAPH, ("--k",), _refine),
     "oracle-orbits": Command("brute-force orbit partition (small n)", GRAPH,
@@ -173,15 +171,14 @@ COMMANDS = {
     "oracle-aut": Command("brute-force automorphism list (small n)", GRAPH,
                           ("--max-n",), _oracle_aut),
     "verify": Command("compare engine orbits against the brute-force oracle", GRAPH,
-                      ("--k", "--budget", "--max-n"), _verify),
+                      ("--k", "--max-n"), _verify),
     "assembly": Command("check a window set for assembly", WINDOWS, (), _assembly),
 }
 
 _FLAGS = {
     "--k": dict(type=int, choices=(1, 2, 3), default=2, help="refinement dimension (default 2)"),
     "--budget": dict(type=_non_negative_int, default=None,
-                     help="at least 0; orbits/verify: iteration cap (default: n - 1); "
-                          "iso: descent node cap, two per stage pair (default: 128 n)"),
+                     help="at least 0; descent node cap, two per stage pair (default: 128 n)"),
     "--max-n": dict(type=_non_negative_int, default=8,
                     help="at least 0; brute-force size cap (default 8)"),
 }

@@ -403,8 +403,9 @@ def _verify_merge(run, o1, o2):
     witness, _ = _descend(run, run, t1, t2, _default_depth_budget(n), max(64, 8 * n))
     if witness is None:
         return None
-    if witness(o1) != o2 or not is_automorphism(run.g, witness):
-        raise InternalInvariantError("merge witness failed verification")
+    # extract_isomorphism verified the witness as an automorphism of run.g.
+    if witness(o1) != o2:
+        raise InternalInvariantError("merge witness does not map o1 to o2")
     return witness
 
 
@@ -469,60 +470,31 @@ def _descend(run1, run2, s1, s2, depth_budget, node_budget):
 
 def _merge_candidates(q, stable):
     """Unordered pairs of q-classes sharing a stable class, as first-member
-    pairs in (stable id, a, b) order, yielded lazily. A run calls this once:
-    q only coarsens, so a later call would find no untried pair."""
+    pairs in (stable id, a, b) order, yielded lazily."""
     firsts = q.first_members()
     firsts = firsts[np.lexsort((firsts, stable.class_of[firsts]))]
     groups = np.split(firsts, np.flatnonzero(np.diff(stable.class_of[firsts])) + 1)
     return itertools.chain.from_iterable(itertools.combinations(group.tolist(), 2) for group in groups)
 
 
-def _check_budget(budget):
-    """ValueError unless budget is None or an integer >= 0 (a bool counts)."""
-    if budget is not None and not (is_integer(budget) and budget >= 0):
-        raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
+def compute_orbits(g, cfg=None):
+    """Orbit partition of g in one pass, certified when it meets the stable
+    coloring.
 
-
-def compute_orbits(g, cfg=None, budget=None):
-    """Accumulate an automorphic partition until it meets the stable coloring.
-
-    Each iteration seeds a fresh fix sequence from the next class of the
-    partition, finds a regular stage and joins in its orbit partition; the
-    first alone then sweeps class pairs with verify_merge (see _verify_sweep).
+    Unless the base stage is discrete, the pass finds a regular stage from
+    vertex 0, takes the orbits of its matched one-vertex extensions, and
+    then sweeps the class pairs left with verify_merge (see _verify_sweep).
     Status is certified when the partition reaches the stable coloring
-    (sandwich certificate). Otherwise the run ends lower_bound, either when
-    budget iterations are spent (default n - 1; budget 0 runs none) or when
-    class-count - 1 iterations in a row leave the partition unchanged.
-    budget must be None or an integer >= 0. Each verified generator is
-    listed once, in the order it was first found.
+    (sandwich certificate), and lower_bound otherwise. Each verified
+    generator is listed once, in the order it was first found.
     """
-    _check_budget(budget)
     run = Run(g, cfg)
     stable = run._stage(()).coloring.vertex_partition
-    q = OrderedPartition.singletons(g.n)
-    generators = {}
-    max_iters = budget if budget is not None else max(1, g.n - 1)
-    no_change = 0
-
-    for i in range(max_iters):
-        if q.same_blocks(stable):
-            break
-        before = q
-        seed = int(q.first_members()[i % q.class_count])
-        stage = _regular_stage(run, seed)
-        part, new_gens = stage_orbits(run, stage)
-        generators.update(dict.fromkeys(new_gens))
-        q = partition_join(q, part)
-        if i == 0:
-            # q only coarsens, so a later sweep would find only pairs tried here.
-            q = _verify_sweep(run, q, stable, generators)
-        if q.same_blocks(before):
-            no_change += 1
-            if no_change >= max(1, q.class_count - 1):
-                break
-        else:
-            no_change = 0
-
+    q, generators = OrderedPartition.singletons(g.n), {}
+    if not stable.is_discrete():
+        q, found = stage_orbits(run, _regular_stage(run, 0))
+        generators = dict.fromkeys(found)
+        q = _verify_sweep(run, q, stable, generators)
     for w in generators:
         if not is_automorphism(g, w):
             raise InternalInvariantError("emitted generator is not an automorphism")
@@ -533,7 +505,8 @@ def compute_orbits(g, cfg=None, budget=None):
 def _verify_sweep(run, q, stable, generators):
     """Try _verify_merge once on each candidate pair still of first members,
     adding witnesses to generators, until q meets stable. q only coarsens,
-    so no candidate is left untried and the run needs no second sweep."""
+    so a pair passed over is never a candidate again: one sweep tries every
+    pair it could."""
     first_of = q.first_members()[q.class_of]
     for o1, o2 in _merge_candidates(q, stable):
         if first_of[o1] != o1 or first_of[o2] != o2:
@@ -563,7 +536,8 @@ def iso_test(g1, g2, cfg=None, budget=None):
     (two per stage pair), by default 128 n; it must be None or an integer
     >= 0.
     """
-    _check_budget(budget)
+    if budget is not None and not (is_integer(budget) and budget >= 0):
+        raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
     stats = RunStats()
     if g1.n != g2.n or g1.color_count != g2.color_count:
         return IsoResult(NON_ISOMORPHIC, None, None, stats)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autorbits import complete_graph, cycle_graph, emit_cdg, path_graph
-from util import rigid6
+from util import cycle_union, rigid6
 
 DATA = Path(__file__).parent / "data"
 
@@ -185,13 +185,12 @@ def test_strategy_flag_rejected(tmp_path):
     assert run_cli("orbits", path, "--strategy", "first", "--json").returncode == 4
 
 
-@pytest.mark.parametrize("command", ["orbits", "auts", "verify", "iso"])
+@pytest.mark.parametrize("command", ["iso"])
 def test_negative_budget_is_a_usage_error(tmp_path, capsys, command):
     from autorbits import cli as cli_module
 
     path = write_graph(tmp_path, "k3.cdg", complete_graph(3))
-    files = [path, path] if command == "iso" else [path]
-    assert cli_module.main([command, *files, "--budget", "-1", "--json"]) == 4
+    assert cli_module.main([command, path, path, "--budget", "-1", "--json"]) == 4
     out = capsys.readouterr()
     assert out.out == "" and "--budget" in out.err
 
@@ -317,13 +316,6 @@ def test_unexpected_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "internal error: KeyError" in capsys.readouterr().err
 
 
-def test_budget_flag(tmp_path):
-    path = write_graph(tmp_path, "k4.cdg", complete_graph(4))
-    payload = json.loads(run_cli("orbits", path, "--budget", "0", "--json").stdout)
-    assert payload["status"] == "lower_bound"
-    assert payload["orbits"] == [[0], [1], [2], [3]]
-
-
 def test_determinism_independent_of_hash_seed(tmp_path):
     import os
 
@@ -343,8 +335,11 @@ def test_determinism_independent_of_hash_seed(tmp_path):
     assert len(outputs) == 1
 
 
-# Flags a command does not read, which it used to accept and ignore.
+# Flags a command does not read, which it used to accept.
 UNREAD_FLAGS = [
+    ("orbits", "--budget", "5"),
+    ("auts", "--budget", "5"),
+    ("verify", "--budget", "5"),
     ("orbits", "--max-n", "9"),
     ("auts", "--max-n", "9"),
     ("iso", "--max-n", "9"),
@@ -411,10 +406,11 @@ def _report_cases(tmp_path):
     c5 = write_graph(tmp_path, "c5.cdg", cycle_graph(5))
     p5 = write_graph(tmp_path, "p5.cdg", path_graph(5))
     rigid = write_graph(tmp_path, "rigid.cdg", rigid6())
+    c3_c4 = write_graph(tmp_path, "c3+c4.cdg", cycle_union(3, 4))
     return [
         ["orbits", c5], ["orbits", rigid, "--k", "1"], ["auts", p5], ["iso", c5, c5], ["iso", c5, p5],
         ["refine", p5, "--k", "1"], ["oracle-orbits", p5], ["oracle-aut", c5], ["verify", c5],
-        ["verify", c5, "--budget", "0"], ["assembly", str(DATA / "assembled2.ws")],
+        ["verify", c3_c4, "--k", "1"], ["assembly", str(DATA / "assembled2.ws")],
         ["assembly", str(DATA / "broken2.ws")],
     ]
 

@@ -167,8 +167,16 @@ def reference_merge_candidates(q, stable):
     return pairs
 
 
-def reference_compute_orbits(g, cfg=None, budget=None):
-    """Reference for engine.compute_orbits that sweeps in every iteration.
+def reference_compute_orbits(g, cfg=None):
+    """Reference for engine.compute_orbits: the iterated algorithm that
+    its one pass replaced.
+
+    Each of up to n - 1 iterations seeds a regular stage from the next
+    class of the partition, joins in its stage orbits and sweeps; the run
+    stops early once class-count - 1 iterations in a row change nothing.
+    The first iteration is the one pass. The engine's answers must equal
+    the reference's, its generators be a prefix of the reference's, and
+    its refines be no more (see tests/test_properties.py).
 
     Each sweep enumerates the merge candidates of the current partition
     afresh, skips the pairs that the run tried before (one set of them per
@@ -182,9 +190,8 @@ def reference_compute_orbits(g, cfg=None, budget=None):
     q = OrderedPartition.singletons(g.n)
     generators = {}
     attempted = set()
-    max_iters = budget if budget is not None else max(1, g.n - 1)
     no_change = 0
-    for i in range(max_iters):
+    for i in range(max(1, g.n - 1)):
         if q.same_blocks(stable):
             break
         before = q
