@@ -90,7 +90,7 @@ class Run:
     search phase takes a run, and its result depends only on the run's
     graph, config and its own arguments, so a repeated call recalls its
     stages from the store. A stage is refined from the graph and its
-    fixes, so at k=1 no individualized copy of the graph is made. At k=1
+    fixes, so no individualized copy of the graph is made. At k=1
     the run builds the graph's k=1 pair terms once and passes them to every
     refine; at k >= 2 every k=1 pass builds and frees its own. The
     distance profiles that verify_merge reads are computed on first use."""
@@ -211,19 +211,15 @@ def _candidate_order(coloring, exclude=()):
     return order[size_of[order] > 1].tolist()
 
 
-def _extend(run, stage, keep, exclude=(), first=None):
+def _extend(run, stage, keep, exclude=()):
     """Greedily lengthen stage's fix sequence while keep allows it.
 
-    Each step fixes the first candidate (first, when given, is tried before
-    all others at the first step) whose one-vertex extension satisfies keep.
-    Returns the stage at which no candidate is kept.
+    Each step fixes the first candidate in _candidate_order whose one-vertex
+    extension satisfies keep. Returns the stage at which no candidate is
+    kept.
     """
     while True:
-        candidates = _candidate_order(stage.coloring, exclude)
-        if first is not None:
-            candidates = [first] + [c for c in candidates if c != first]
-            first = None
-        for y in candidates:
+        for y in _candidate_order(stage.coloring, exclude):
             trial = run._stage(stage.fixes + (y,))
             if keep(trial):
                 stage = trial
@@ -279,26 +275,20 @@ def extract_isomorphism(s1, s2):
     return perm if apply_permutation(s1.base, perm) == s2.base else None
 
 
-def find_regular_stage(run, first_seed=None):
+def find_regular_stage(run):
     """Extend a fix sequence until the coloring is non-discrete but any one
     further individualization makes it discrete.
 
     If the initial refinement is already discrete the empty-fix stage is
-    returned immediately. first_seed, when given, is the first vertex tried;
-    ValueError unless it is a vertex of run.g. Termination is guaranteed:
-    fixing everything is discrete.
+    returned immediately. Each step fixes the first vertex in
+    _candidate_order (smallest non-singleton class first) whose extension
+    stays non-discrete. Termination is guaranteed: fixing everything is
+    discrete.
     """
-    if first_seed is not None:
-        (first_seed,) = fix_sequence((first_seed,), run.g.n)
-    return _regular_stage(run, first_seed)
-
-
-def _regular_stage(run, first_seed):
-    """find_regular_stage from an engine-built first_seed, not validated."""
     stage = run._stage(())
     if stage.coloring.is_discrete():
         return stage
-    return _extend(run, stage, lambda t: not t.coloring.is_discrete(), first=first_seed)
+    return _extend(run, stage, lambda t: not t.coloring.is_discrete())
 
 
 def stage_orbits(run, stage):
@@ -481,18 +471,18 @@ def compute_orbits(g, cfg=None):
     """Orbit partition of g in one pass, certified when it meets the stable
     coloring.
 
-    Unless the base stage is discrete, the pass finds a regular stage from
-    vertex 0, takes the orbits of its matched one-vertex extensions, and
-    then sweeps the class pairs left with verify_merge (see _verify_sweep).
-    Status is certified when the partition reaches the stable coloring
-    (sandwich certificate), and lower_bound otherwise. Each verified
-    generator is listed once, in the order it was first found.
+    Unless the base stage is discrete, the pass finds a regular stage
+    (find_regular_stage), takes the orbits of its matched one-vertex
+    extensions, and then sweeps the class pairs left with verify_merge (see
+    _verify_sweep). Status is certified when the partition reaches the
+    stable coloring (sandwich certificate), and lower_bound otherwise. Each
+    verified generator is listed once, in the order it was first found.
     """
     run = Run(g, cfg)
     stable = run._stage(()).coloring.vertex_partition
     q, generators = OrderedPartition.singletons(g.n), {}
     if not stable.is_discrete():
-        q, found = stage_orbits(run, _regular_stage(run, 0))
+        q, found = stage_orbits(run, find_regular_stage(run))
         generators = dict.fromkeys(found)
         q = _verify_sweep(run, q, stable, generators)
     for w in generators:

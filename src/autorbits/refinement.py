@@ -201,9 +201,8 @@ def refine(g, cfg=None, fixes=(), k1_terms=None):
     stabilization dimension.
 
     The result is that of ``refine(individualize_sequence(g, fixes), cfg)``,
-    class map, rounds and trace digest alike. At k=1 no individualized
-    graph is built: only its diagonal is read. At k >= 2 the atoms read the
-    individualized matrix, so it is built. k1_terms, when given, are
+    class map, rounds and trace digest alike. No individualized graph is
+    built: at every k only its diagonal is read. k1_terms, when given, are
     ``build_k1_terms(g)``, read at k=1 in place of terms of the refine's
     own. Raises ValueError when they were built from another graph or when
     fixes are not distinct vertices of g, and ResourceLimitError at k=1 or
@@ -219,9 +218,6 @@ def refine(g, cfg=None, fixes=(), k1_terms=None):
             f"order {g.n} exceeds {_EXACT_ORDER}, the largest whose k={cfg.k} "
             "refinement sums are exact in float64"
         )
-    if cfg.k >= 2:
-        # The atoms read pair colors, the individualized diagonal's too.
-        g, fixes = individualize_sequence(g, fixes), ()
     diagonal = g.colors.diagonal().copy()
     for i, v in enumerate(fixes):
         diagonal[v] = g.color_count + i
@@ -258,9 +254,9 @@ def _atoms(g, diagonal, k):
     A cell's row is its atomic type: whether x_i = x_j for each position
     pair i < j, the color c(x_i, x_j) for each ordered pair i != j, and the
     vertex colors c(x_i, x_i). Only the diagonal cells (v, ..., v) have
-    every equality set, so they rank last. The vertex colors are the given
-    diagonal; g's pair colors are read only at k >= 2, where g's diagonal
-    must be the given one.
+    every equality set, so they rank last. Every vertex color is read from
+    the given diagonal: where x_i = x_j, the pair color c(x_i, x_j) is
+    overwritten with it, so g's own diagonal is never read.
     """
     n = g.n
 
@@ -276,6 +272,8 @@ def _atoms(g, diagonal, k):
     rows = np.empty((n,) * k + (len(columns),), dtype=np.int64)
     for col, values in enumerate(columns):
         rows[..., col] = values
+    for col, (i, j) in enumerate(itertools.permutations(range(k), 2), start=k * (k - 1) // 2):
+        np.copyto(rows[..., col], along(diagonal, i), where=along(x, i) == along(x, j))
     return rows.reshape(n**k, -1)
 
 
@@ -436,7 +434,7 @@ def individualize_sequence(g, fixes):
     not depend on folding one-vertex steps. A fresh id may pass the
     constructor's 2**62 bound on input ids, and still fits in int64.
     Fixes must be distinct vertices of g. ``refine(g, cfg, fixes)`` gives
-    the result's stable coloring, at k=1 without building the result.
+    the result's stable coloring without building the result.
     """
     fixes = fix_sequence(fixes, g.n)
     if not fixes:

@@ -412,14 +412,6 @@ def test_search_validates_no_fixes_it_built_itself(monkeypatch):
     assert len(calls) <= system.stats.refine_calls
 
 
-def test_find_regular_stage_validates_its_seed_on_a_store_hit():
-    run = Run(cycle_graph(5), K1)
-    run.stage((1,))
-    with pytest.raises(ValueError):
-        find_regular_stage(run, first_seed=1.0)
-    assert find_regular_stage(run, first_seed=np.int64(1)).fixes == (1,)
-
-
 # ------------------------------------------------------- compute_orbits
 
 
@@ -747,18 +739,32 @@ def test_k33_mixes_twin_swaps_with_a_descent_across_its_sides():
 
 
 K44 = from_undirected_edges(8, [(a, b) for a in range(4) for b in range(4, 8)])
+# The binary tree of depth 4 in breadth-first order, networkx.balanced_tree(2, 4):
+# its orbits are the five depth levels, and level d holds 2^d - 1 .. 2^(d+1) - 2.
+BINARY_TREE = from_undirected_edges(31, [(v, 2 * v + c) for v in range(15) for c in (1, 2)])
+_LEVELS = [range(2**d - 1, 2 ** (d + 1) - 1) for d in range(5)]
+# The root, then each lower level split between the root's two subtrees.
+_SUBTREE_HALVES = _LEVELS[:1] + [half for level in _LEVELS[1:] for half in (level[: len(level) // 2], level[len(level) // 2:])]
+# graph, its orbits, and the lower-bound classes the run ends with.
+DEPTH_LIMITED = {
+    "k44": (K44, brute_orbits(K44), [range(4), range(4, 8)]),
+    "binary_tree": (BINARY_TREE, OrderedPartition.from_classes(_LEVELS), _SUBTREE_HALVES),
+}
 
 
 @pytest.mark.parametrize("cfg", [K1, K2], ids=["k1", "k2"])
-def test_k44_sides_stay_apart_past_the_depth_budget(cfg):
-    # A known limitation: joining the two sides of K_{m,m} takes a descent
-    # through about n - 2 levels of twin fixes, past the depth budget of
-    # ceil(log2 n) + 1, so the run ends lower_bound with the sides as its
-    # classes. K3,3 fits in the budget (see above).
-    system = compute_orbits(K44, cfg)
+@pytest.mark.parametrize("name", DEPTH_LIMITED)
+def test_twin_fix_descents_stop_at_the_depth_budget(name, cfg):
+    # A known limitation: joining the two sides of K_{m,m}, or the root's
+    # two subtrees of a binary tree, takes a descent through more levels of
+    # twin fixes than the depth budget of ceil(log2 n) + 1, so the run ends
+    # lower_bound with those halves apart. K3,3 fits in the budget (see
+    # above).
+    g, orbits, classes = DEPTH_LIMITED[name]
+    system = compute_orbits(g, cfg)
     assert system.status == LOWER_BOUND
-    assert system.partition.same_blocks(OrderedPartition.from_classes([range(4), range(4, 8)]))
-    assert system.partition.is_finer_or_equal(brute_orbits(K44))
+    assert system.partition.same_blocks(OrderedPartition.from_classes(classes))
+    assert system.partition.is_finer_or_equal(orbits)
     assert system.stats.depth_budget_hits > 0
 
 
@@ -807,13 +813,29 @@ def test_candidate_order_discrete_is_empty():
 
 def test_search_repeats_itself_from_the_stage_store():
     run = Run(petersen_graph(), K1)
-    stage = find_regular_stage(run, first_seed=0)
+    stage = find_regular_stage(run)
     q = OrderedPartition.singletons(10)
     witness = verify_merge(run, q, 0, 1)
     refines = run.stats.refine_calls
-    assert find_regular_stage(run, first_seed=0) is stage
+    assert find_regular_stage(run) is stage
     assert witness is not None and verify_merge(run, q, 0, 1) == witness
     assert run.stats.refine_calls == refines
+
+
+@pytest.mark.parametrize("g, searches", [(cycle_graph(5), 1), (rigid6(), 0)], ids=["c5", "rigid6"])
+def test_compute_orbits_searches_through_find_regular_stage(monkeypatch, g, searches):
+    # C5's base stage is one class; rigid6's is discrete at k=1 already.
+    calls = []
+    real = engine.find_regular_stage
+
+    def spy(run):
+        calls.append(run)
+        return real(run)
+
+    monkeypatch.setattr(engine, "find_regular_stage", spy)
+    for runs in (1, 2):
+        compute_orbits(g, K1)
+        assert len(calls) == runs * searches
 
 
 # --------------------------------------------------------------- iso_test

@@ -57,6 +57,7 @@ from util import (
     reference_merge_candidates,
     reference_verify_merge,
     rook_graph_4x4,
+    seeded_regular_stage,
     shrikhande_graph,
 )
 
@@ -344,7 +345,7 @@ def test_stage_orbits_matches_grouping_by_canonical_form(case):
     g, cfg = case
     run = engine.Run(g, cfg)
     for v in range(g.n):
-        stage = engine.find_regular_stage(run, first_seed=v)
+        stage = seeded_regular_stage(run, v)
         part, gens = engine.stage_orbits(run, stage)
         want_part, want_gens = form_grouped_stage_orbits(run, stage)
         assert part.classes == want_part.classes
@@ -406,7 +407,7 @@ def test_partition_scans_match_the_loop_references_on_reached_stages(case):
     g, cfg = case
     run = engine.Run(g, cfg)
     for v in range(g.n):
-        engine.find_regular_stage(run, first_seed=v)
+        seeded_regular_stage(run, v)
     stable = run.stage(()).coloring.vertex_partition
     for stage in list(run._stages.values()):
         part = stage.coloring.vertex_partition

@@ -228,10 +228,13 @@ DIGRAPH6 = [
     [2, 1, 0, 0, 1, 2],
     [1, 1, 2, 0, 2, 0],
 ]
-GOLDEN_GRAPHS = {
-    "petersen": petersen_graph,
-    "digraph6": lambda: EdgeColoredGraph(DIGRAPH6),
-    "c6-fix0": lambda: individualize_sequence(cycle_graph(6), [0]),
+# name -> (graph, fixes refine individualizes). "c6-fixes0" reads the fix
+# from the diagonal and must give the trace of the individualized "c6-fix0".
+GOLDEN_INPUTS = {
+    "petersen": (petersen_graph, ()),
+    "digraph6": (lambda: EdgeColoredGraph(DIGRAPH6), ()),
+    "c6-fix0": (lambda: individualize_sequence(cycle_graph(6), [0]), ()),
+    "c6-fixes0": (lambda: cycle_graph(6), (0,)),
 }
 
 
@@ -247,11 +250,15 @@ GOLDEN_GRAPHS = {
         ("c6-fix0", 1, "c1d9af244dd41ab16fa3f3ee6bdb4e17", 2, [3, 0, 2, 1, 2, 0]),
         ("c6-fix0", 2, "f73e31398d66c0171c880aa5e0ce7629", 2, [3, 2, 0, 1, 0, 2]),
         ("c6-fix0", 3, "2cf4f299464271abf382e3e6828bbb96", 2, [3, 0, 1, 2, 1, 0]),
+        ("c6-fixes0", 1, "c1d9af244dd41ab16fa3f3ee6bdb4e17", 2, [3, 0, 2, 1, 2, 0]),
+        ("c6-fixes0", 2, "f73e31398d66c0171c880aa5e0ce7629", 2, [3, 2, 0, 1, 0, 2]),
+        ("c6-fixes0", 3, "2cf4f299464271abf382e3e6828bbb96", 2, [3, 0, 1, 2, 1, 0]),
     ],
 )
 def test_golden_traces(name, k, digest, rounds, class_of):
     # Pins the trace bytes, so any change to atoms, hashing or id order shows.
-    coloring = refine(GOLDEN_GRAPHS[name](), RefinementConfig(k=k))
+    graph, fixes = GOLDEN_INPUTS[name]
+    coloring = refine(graph(), RefinementConfig(k=k), fixes)
     assert coloring.trace_digest.hex() == digest
     assert coloring.rounds_used == rounds
     assert coloring.vertex_partition.class_of.tolist() == class_of

@@ -167,22 +167,42 @@ def reference_merge_candidates(q, stable):
     return pairs
 
 
+def seeded_regular_stage(run, seed):
+    """A regular stage whose search tries seed before every other vertex at
+    its first step: the seed the iterated reference rotates.
+
+    When the base stage and the stage of (seed,) are both non-discrete, the
+    search extends from the stage of (seed,); otherwise it extends from the
+    base stage, as engine.find_regular_stage does.
+    """
+    stage = run.stage(())
+    if stage.coloring.is_discrete():
+        return stage
+
+    def keep(trial):
+        return not trial.coloring.is_discrete()
+
+    seeded = run.stage((seed,))
+    return engine._extend(run, seeded if keep(seeded) else stage, keep)
+
+
 def reference_compute_orbits(g, cfg=None):
     """Reference for engine.compute_orbits: the iterated algorithm that
     its one pass replaced.
 
-    Each of up to n - 1 iterations seeds a regular stage from the next
-    class of the partition, joins in its stage orbits and sweeps; the run
-    stops early once class-count - 1 iterations in a row change nothing.
-    The first iteration is the one pass. The engine's answers must equal
-    the reference's, its generators be a prefix of the reference's, and
-    its refines be no more (see tests/test_properties.py).
+    Each of up to n - 1 iterations finds a regular stage, joins in its
+    stage orbits and sweeps; the run stops early once class-count - 1
+    iterations in a row change nothing. The first iteration searches
+    unseeded and is the one pass; each later one seeds its search from the
+    next class of the partition (seeded_regular_stage). The engine's
+    answers must equal the reference's, its generators be a prefix of the
+    reference's, and its refines be no more (see tests/test_properties.py).
 
     Each sweep enumerates the merge candidates of the current partition
     afresh, skips the pairs that the run tried before (one set of them per
     run) and starts over after each merge, until a pass merges nothing or
     the partition meets the stable coloring. The stages, stage orbits and
-    merges come from the engine's own _regular_stage, stage_orbits and
+    merges come from the engine's own find_regular_stage, stage_orbits and
     _verify_merge.
     """
     run = engine.Run(g, cfg)
@@ -195,7 +215,10 @@ def reference_compute_orbits(g, cfg=None):
         if q.same_blocks(stable):
             break
         before = q
-        stage = engine._regular_stage(run, int(q.first_members()[i % q.class_count]))
+        if i == 0:
+            stage = engine.find_regular_stage(run)
+        else:
+            stage = seeded_regular_stage(run, int(q.first_members()[i % q.class_count]))
         part, new_gens = engine.stage_orbits(run, stage)
         generators.update(dict.fromkeys(new_gens))
         q = partition_join(q, part)
