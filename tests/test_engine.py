@@ -744,7 +744,9 @@ K44 = from_undirected_edges(8, [(a, b) for a in range(4) for b in range(4, 8)])
 BINARY_TREE = from_undirected_edges(31, [(v, 2 * v + c) for v in range(15) for c in (1, 2)])
 _LEVELS = [range(2**d - 1, 2 ** (d + 1) - 1) for d in range(5)]
 # The root, then each lower level split between the root's two subtrees.
-_SUBTREE_HALVES = _LEVELS[:1] + [half for level in _LEVELS[1:] for half in (level[: len(level) // 2], level[len(level) // 2:])]
+_SUBTREE_HALVES = _LEVELS[:1] + [
+    half for level in _LEVELS[1:] for half in (level[: len(level) // 2], level[len(level) // 2:])
+]
 # graph, its orbits, and the lower-bound classes the run ends with.
 DEPTH_LIMITED = {
     "k44": (K44, brute_orbits(K44), [range(4), range(4, 8)]),
