@@ -98,47 +98,44 @@ def partition_join(p, q):
 
     Two vertices end up together iff they are linked by a chain of
     overlapping p- and q-classes, i.e. iff they are connected by the pairs
-    linking each vertex to its class's first member.
+    linking each vertex to its class's first member (see join_pairs).
     """
     if p.n != q.n:
         raise SizeMismatchError("partition sizes differ")
-    firsts = (part.first_members()[part.class_of].tolist() for part in (p, q))
-    return join_pairs(p.n, ((a, v) for first in firsts for v, a in enumerate(first) if a != v))
+    firsts = [part.first_members()[part.class_of] for part in (p, q)]
+    return join_pairs(p.n, np.concatenate(firsts), np.tile(np.arange(p.n), 2))
 
 
-def join_pairs(n, pairs):
-    """Partition of [0, n) into the connected components of the vertex pairs.
-
-    A disjoint-set union with path halving; output class ids follow
-    smallest members.
+def join_pairs(n, a, b):
+    """Partition of [0, n) into the connected components of the pairs
+    (a[i], b[i]) of two int64 index arrays, by an array union-find
+    (Shiloach-Vishkin): each round hooks the root of each pair's larger end
+    onto the least smaller root offered, then every label jumps to its root.
+    Labels only decrease, so roots and class ids follow smallest members.
     """
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    # A root is its component's smallest member, so a class id is the
-    # number of roots below it.
-    roots = np.array([find(v) for v in range(n)], dtype=np.int64)
-    ids = np.cumsum(roots == np.arange(n)) - 1
-    return OrderedPartition(ids[roots])
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    # A class id is the number of roots below its root.
+    ids = np.cumsum(root == np.arange(n)) - 1
+    return OrderedPartition(ids[root])
 
 
 def closure_orbits(n, gens):
     """Orbit partition of the group generated by gens.
 
-    Computed by transitively closing generator images on vertices; the group
-    itself is never enumerated. Class ids follow smallest members.
+    Computed by joining each vertex to its generator images (join_pairs);
+    the group itself is never enumerated. Class ids follow smallest members.
     """
     gens = list(gens)
     if any(p.n != n for p in gens):
         raise SizeMismatchError("generator size does not match n")
-    return join_pairs(n, ((v, w) for p in gens for v, w in enumerate(p.image.tolist())))
+    images = np.array([p.image for p in gens], dtype=np.int64).reshape(-1)
+    return join_pairs(n, np.tile(np.arange(n), len(gens)), images)

@@ -504,6 +504,23 @@ def test_each_generator_is_emitted_once(g, cfg):
     assert closure_orbits(g.n, system.generators).same_blocks(system.partition)
 
 
+@pytest.mark.parametrize("cfg", [K1, K2], ids=["k1", "k2"])
+def test_each_generator_is_verified_once_where_it_is_made(monkeypatch, cfg):
+    # K20's 19 generators are swaps: one that extract_isomorphism checks in
+    # stage_orbits, and 18 that verify_merge checks as it proposes them.
+    # compute_orbits checks none of them again.
+    calls = []
+
+    def spy(g, perm):
+        calls.append(perm.as_list())
+        return is_automorphism(g, perm)
+
+    monkeypatch.setattr(engine, "is_automorphism", spy)
+    system = compute_orbits(complete_graph(20), cfg)
+    assert system.status == CERTIFIED and len(system.generators) == 19
+    assert calls == [w.as_list() for w in system.generators]
+
+
 # ---------------------------------------------------------- verify_merge
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from autorbits import (
     closure_orbits,
     partition_join,
 )
-from util import all_set_partitions, random_permutation
+from autorbits.partitions import join_pairs
+from util import all_set_partitions, random_permutation, reference_join_pairs
 
 
 def P(*classes):
@@ -135,3 +138,49 @@ def test_order_checks_match_set_definitions_exhaustive_n5():
 def test_join_size_mismatch():
     with pytest.raises(SizeMismatchError):
         partition_join(P([0, 1]), P([0, 1], [2]))
+
+
+def _random_partition(rng, n):
+    """A partition of [0, n) into random classes, with class ids in the
+    order of random labels rather than of smallest members."""
+    labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+    return OrderedPartition(np.unique(labels, return_inverse=True)[1])
+
+
+def test_join_and_closure_match_the_reference_union_find():
+    rng = np.random.default_rng(28)
+    for _ in range(300):
+        n = int(rng.integers(1, 61))
+        gens = []
+        for _ in range(int(rng.integers(0, 5))):
+            # The identity, a permutation of a random subset, or of all.
+            moved = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+            image = np.arange(n)
+            image[moved] = rng.permutation(moved)
+            gens.append(Permutation(image))
+        pairs = [(v, w) for p in gens for v, w in enumerate(p.image.tolist())]
+        assert closure_orbits(n, gens) == reference_join_pairs(n, pairs)
+        p, q = _random_partition(rng, n), _random_partition(rng, n)
+        firsts = [part.first_members()[part.class_of].tolist() for part in (p, q)]
+        pairs = [(a, v) for first in firsts for v, a in enumerate(first)]
+        assert partition_join(p, q) == reference_join_pairs(n, pairs)
+
+
+def test_join_pairs_finishes_on_long_chains():
+    # Propagating least labels without hooking roots takes a round per
+    # step of the longest chain: tens of seconds on these inputs.
+    rng = np.random.default_rng(100)
+    n = 100_000
+    label = rng.permutation(n)
+    cases = {
+        "cycle": (label, np.roll(label, 1)),
+        "path": (label[:-1], label[1:]),
+        "permutation-1": (np.arange(n), rng.permutation(n)),
+        "permutation-2": (np.arange(n), rng.permutation(n)),
+    }
+    for name, (a, b) in cases.items():
+        start = time.perf_counter()
+        joined = join_pairs(n, a, b)
+        seconds = time.perf_counter() - start
+        assert seconds < 2, f"{name}: join_pairs took {seconds:.1f} s"
+        assert joined == reference_join_pairs(n, zip(a.tolist(), b.tolist())), name

@@ -167,6 +167,30 @@ def reference_merge_candidates(q, stable):
     return pairs
 
 
+def reference_join_pairs(n, pairs):
+    """Reference for partitions.join_pairs: a Python disjoint-set union with
+    path halving over an iterable of vertex pairs; output class ids follow
+    smallest members."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    # A root is its component's smallest member, so a class id is the
+    # number of roots below it.
+    roots = np.array([find(v) for v in range(n)], dtype=np.int64)
+    ids = np.cumsum(roots == np.arange(n)) - 1
+    return OrderedPartition(ids[roots])
+
+
 def seeded_regular_stage(run, seed):
     """A regular stage whose search tries seed before every other vertex at
     its first step: the seed the iterated reference rotates.
