@@ -294,16 +294,17 @@ def find_regular_stage(run):
 def stage_orbits(run, stage):
     """Orbits of the subgroup found by matching one-vertex extensions.
 
-    Every vertex of every non-singleton stage class is individualized and
+    Every vertex y of every non-singleton stage class is individualized and
     refined. The first discrete extension with a given trace digest anchors
-    it; each later one with that digest is matched to its anchor by
-    extract_isomorphism, whose witnesses are verified automorphisms. An
-    extension that does not match is left unmerged, which keeps the
-    partition a lower bound. Returns the orbit partition of the witnessed
-    subgroup together with the witnesses.
+    it; a later one is matched to its anchor by extract_isomorphism unless
+    the witnesses so far join y with the anchor's last fix: they fix the
+    stage's fixes, so the unique map extraction would return is in their
+    group. So each verified witness joins two orbits. An unmatched extension
+    is left unmerged, keeping a lower bound. Returns the orbits and witnesses.
     """
     generators = []
     anchors = {}
+    q = OrderedPartition.singletons(run.g.n)
     class_of = stage.coloring.vertex_partition.class_of
     by_class = np.argsort(class_of, kind="stable")
     for y in by_class[np.bincount(class_of)[class_of[by_class]] > 1].tolist():
@@ -313,12 +314,13 @@ def stage_orbits(run, stage):
             # leaving y unmerged.
             continue
         anchor = anchors.setdefault(extension.coloring.trace_digest, extension)
-        if anchor is extension:
+        if q.class_of[anchor.fixes[-1]] == q.class_of[y]:
             continue
         witness = extract_isomorphism(anchor, extension)
         if witness is not None:
             generators.append(witness)
-    return closure_orbits(run.g.n, generators), generators
+            q = partition_join(q, closure_orbits(run.g.n, [witness]))
+    return q, generators
 
 
 def _default_depth_budget(n):
@@ -475,17 +477,16 @@ def compute_orbits(g, cfg=None):
     (find_regular_stage), takes the orbits of its matched one-vertex
     extensions, and then sweeps the class pairs left with verify_merge (see
     _verify_sweep). Status is certified when the partition reaches the
-    stable coloring (sandwich certificate), and lower_bound otherwise. Each
-    generator is verified entrywise once, where it is made (by
-    extract_isomorphism or verify_merge's swap check), and listed once, in
-    the order it was first found.
+    stable coloring (sandwich certificate), and lower_bound otherwise. A
+    generator is emitted only when it joins two orbits, and verified
+    entrywise once, where it is made (by extract_isomorphism or
+    verify_merge's swap check).
     """
     run = Run(g, cfg)
     stable = run._stage(()).coloring.vertex_partition
-    q, generators = OrderedPartition.singletons(g.n), {}
+    q, generators = OrderedPartition.singletons(g.n), []
     if not stable.is_discrete():
-        q, found = stage_orbits(run, find_regular_stage(run))
-        generators = dict.fromkeys(found)
+        q, generators = stage_orbits(run, find_regular_stage(run))
         q = _verify_sweep(run, q, stable, generators)
     status = CERTIFIED if q.same_blocks(stable) else LOWER_BOUND
     return OrbitSystem(q, tuple(generators), status, run.stats)
@@ -493,16 +494,15 @@ def compute_orbits(g, cfg=None):
 
 def _verify_sweep(run, q, stable, generators):
     """Try _verify_merge once on each candidate pair still of first members,
-    adding witnesses to generators, until q meets stable. q only coarsens,
-    so a pair passed over is never a candidate again: one sweep tries every
-    pair it could."""
+    appending each witness (it joins two q-classes) to generators until q
+    meets stable. q only coarsens, so one sweep tries every pair it could."""
     first_of = q.first_members()[q.class_of]
     for o1, o2 in _merge_candidates(q, stable):
         if first_of[o1] != o1 or first_of[o2] != o2:
             continue
         witness = _verify_merge(run, o1, o2)
         if witness is not None:
-            generators[witness] = None
+            generators.append(witness)
             q = partition_join(q, closure_orbits(run.g.n, [witness]))
             if q.same_blocks(stable):
                 break

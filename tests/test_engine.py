@@ -325,12 +325,12 @@ def test_extract_isomorphism_cross_graph_none():
     assert extract_isomorphism(s1, s2) is None
 
 
-def _discrete_stage(base, class_of):
+def _discrete_stage(base, class_of, fixes=()):
     """A discrete stage built by hand: every such stage shares one trace
     digest, so extract_isomorphism gets past its digest test and must
     check the class-order bijection against the graphs themselves."""
     partition = OrderedPartition(class_of)
-    return StageGraph(base=base, fixes=(), coloring=StableColoring(partition, 0, b"same"))
+    return StageGraph(base=base, fixes=fixes, coloring=StableColoring(partition, 0, b"same"))
 
 
 @pytest.mark.parametrize("branch", ["same-base", "cross-base"])
@@ -344,6 +344,10 @@ def test_extract_isomorphism_checks_the_bijection_entrywise(branch):
     assert extract_isomorphism(s1, _discrete_stage(other, [1, 0, 2])) is None
     # ... while its reversal (0 2) is.
     assert extract_isomorphism(s1, _discrete_stage(other, [2, 1, 0])).as_list() == [2, 1, 0]
+    # It is refused, though, between two stages that both fix 0: it sends
+    # the first one's fix to 2.
+    s1 = _discrete_stage(g, [0, 1, 2], fixes=(0,))
+    assert extract_isomorphism(s1, _discrete_stage(other, [2, 1, 0], fixes=(0,))) is None
 
 
 # -------------------------------------------------------- stage orbits
@@ -368,6 +372,13 @@ def test_stage_orbits_c5():
     part, gens = stage_orbits(run, stage)
     assert part.same_blocks(OrderedPartition.from_classes([[0], [1, 4], [2, 3]]))
     assert gens and all(is_automorphism(g, w) for w in gens)
+
+
+def test_stage_orbits_leaves_non_discrete_extensions_unmerged():
+    # Every one-vertex extension of C6 keeps the reflection through its fix.
+    run = Run(cycle_graph(6), K1)
+    part, gens = stage_orbits(run, run.stage(()))
+    assert part.is_discrete() and gens == []
 
 
 def test_stage_orbits_rigid_graph_no_generators():
@@ -504,11 +515,33 @@ def test_each_generator_is_emitted_once(g, cfg):
     assert closure_orbits(g.n, system.generators).same_blocks(system.partition)
 
 
-@pytest.mark.parametrize("cfg", [K1, K2], ids=["k1", "k2"])
-def test_each_generator_is_verified_once_where_it_is_made(monkeypatch, cfg):
+def _colored_circulant(n, seed):
+    """Circulant digraph on Z_n whose arc u -> v has a color in 1..4 drawn
+    for v - u. Its rotations make it vertex-transitive."""
+    off = np.random.default_rng(seed).integers(1, 5, n)
+    off[0] = 0
+    v = np.arange(n)
+    return EdgeColoredGraph(off[(v[None, :] - v[:, None]) % n])
+
+
+@pytest.mark.parametrize(
+    "g, cfg, count",
+    [
+        (complete_graph(20), K1, 19),
+        (complete_graph(20), K2, 19),
+        (cycle_graph(30), K2, 2),
+        (paley_graph(29), K1, 2),
+        (_colored_circulant(300, 300), K1, 1),
+    ],
+    ids=["k1", "k2", "c30-k2", "paley29-k1", "circulant300-k1"],
+)
+def test_each_generator_is_verified_once_where_it_is_made(monkeypatch, g, cfg, count):
     # K20's 19 generators are swaps: one that extract_isomorphism checks in
     # stage_orbits, and 18 that verify_merge checks as it proposes them.
-    # compute_orbits checks none of them again.
+    # stage_orbits extracts no witness for an extension whose vertex the
+    # generators so far already join with its anchor's fix: the circulant's
+    # first generator joins all 300 vertices. compute_orbits checks none of
+    # them again.
     calls = []
 
     def spy(g, perm):
@@ -516,8 +549,8 @@ def test_each_generator_is_verified_once_where_it_is_made(monkeypatch, cfg):
         return is_automorphism(g, perm)
 
     monkeypatch.setattr(engine, "is_automorphism", spy)
-    system = compute_orbits(complete_graph(20), cfg)
-    assert system.status == CERTIFIED and len(system.generators) == 19
+    system = compute_orbits(g, cfg)
+    assert system.status == CERTIFIED and len(system.generators) == count
     assert calls == [w.as_list() for w in system.generators]
 
 

@@ -114,9 +114,12 @@ def form_grouped_stage_orbits(run, stage):
     """Reference for engine.stage_orbits that groups the discrete one-vertex
     extensions by their full canonical form: the first extension with a
     form anchors it, and each later one with an equal form must give a
-    verified automorphism by extract_isomorphism."""
+    verified automorphism by extract_isomorphism, unless the generators so
+    far already join its vertex with the anchor's last fix."""
+    n = run.g.n
     generators = []
     groups = {}
+    orbits = reference_join_pairs(n, [])
     for members in reference_classes(stage.coloring.vertex_partition):
         if len(members) < 2:
             continue
@@ -125,12 +128,13 @@ def form_grouped_stage_orbits(run, stage):
             if not extension.coloring.is_discrete():
                 continue
             anchor = groups.setdefault(canonical_form_discrete(extension), extension)
-            if anchor is extension:
+            if orbits.class_of[anchor.fixes[-1]] == orbits.class_of[y]:
                 continue
             witness = extract_isomorphism(anchor, extension)
             assert witness is not None, "equal canonical forms failed isomorphism extraction"
             generators.append(witness)
-    return closure_orbits(run.g.n, generators), generators
+            orbits = reference_join_pairs(n, [(v, w(v)) for w in generators for v in range(n)])
+    return orbits, generators
 
 
 # Loop references for the array scans of partitions and the engine: the
