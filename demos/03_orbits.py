@@ -3,10 +3,11 @@ Orbit computation with certificates
 ===================================
 
 The engine individualizes vertices until one more individualization would
-make the coloring discrete (a "regular stage"), then groups the one-vertex
-extensions by trace digest: each extension is matched to the first one
-with its digest by a class-order bijection, kept only once it is verified
-as an automorphism. Orbit partitions of the witnessed subgroups accumulate
+make the coloring discrete (a "regular stage"), and on the way groups the
+one-vertex extensions of each stage by trace digest: each extension is
+matched to the first one with its digest by a class-order bijection, kept
+only once it is verified as an automorphism, and a vertex that the
+automorphisms found so far already match is not refined at all. Orbit partitions of the witnessed subgroups accumulate
 by lattice join. When the accumulated partition reaches the stable coloring,
 the sandwich (partition <= true orbits <= stable coloring) pins the answer
 exactly and the run reports status "certified".
@@ -29,9 +30,11 @@ k2 = RefinementConfig(k=2)
 
 # A regular stage of C5: one fixed vertex is enough. The search phases take
 # a Run, which holds one graph, its config, counters and stage store.
-stage = find_regular_stage(Run(cycle_graph(5), RefinementConfig(k=1)))
+stage, orbits, generators = find_regular_stage(Run(cycle_graph(5), RefinementConfig(k=1)))
 print("C5 regular stage fixes:", stage.fixes)
 print("stage classes:", stage.coloring.vertex_partition.classes)
+print("orbits its scans found:", orbits.classes)
+print("their generators:", [w.as_list() for w in generators])
 
 # Full runs. Petersen is vertex-transitive; the union of two triangles has
 # automorphisms exchanging the components; and the orbit partition always

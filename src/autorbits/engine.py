@@ -1,7 +1,9 @@
 """Orbit engine: individualization to a regular stage, matching of the
-resulting discrete colorings by trace digest and verified extraction,
-join-based accumulation, a class-merge verification procedure, and an
-isomorphism test that runs the same lock-step descent over two graphs.
+discrete one-vertex extensions of each stage on the way by trace digest and
+verified extraction, in one scan per stage that skips vertices whose orbit
+it has already scanned, join-based accumulation, a class-merge
+verification procedure, and an isomorphism test that runs the same
+lock-step descent over two graphs.
 
 The engine only ever *claims* what it can witness: every merge of two
 vertices into one orbit class is backed by an explicitly verified
@@ -111,9 +113,9 @@ class Run:
         and an insert evicts from the front, so frequently asked stages
         (the base stage above all) stay resident. It holds
         STAGE_STORE_VERTICES // n stages, but never fewer than n + 1: a
-        scan (_extend or stage_orbits) walks a stage and up to n of its
-        one-vertex extensions, and a store smaller than a repeated scan
-        would evict each stage before it is asked again.
+        scan (stage_orbits, or _extend in verify_merge) walks a stage and
+        up to n of its one-vertex extensions, and a store smaller than a
+        repeated scan would evict each stage before it is asked again.
 
         At k >= 2 with n^(k-1) >= ONE_WL_FIRST, the individualized graph is
         refined at k=1 first, and a discrete k=1 coloring is stored as the
@@ -276,51 +278,62 @@ def extract_isomorphism(s1, s2):
 
 
 def find_regular_stage(run):
-    """Extend a fix sequence until the coloring is non-discrete but any one
-    further individualization makes it discrete.
+    """Regular stage of run's search, with the orbits and generators that
+    its scans found.
 
-    If the initial refinement is already discrete the empty-fix stage is
-    returned immediately. Each step fixes the first vertex in
+    A regular stage is non-discrete, but any one further individualization
+    makes it discrete; when the base stage is already discrete it is
+    returned with no orbits. The search scans the base stage with
+    stage_orbits and, while a scan stops at a non-discrete extension, scans
+    that extension's stage in turn. Each step fixes the first vertex in
     _candidate_order (smallest non-singleton class first) whose extension
-    stays non-discrete. Termination is guaranteed: fixing everything is
-    discrete.
+    stays non-discrete, and fixing everything is discrete, so the search
+    ends. A generator found at a level above the regular stage fixes only
+    that level's fixes; it is verified and kept. Returns the regular stage,
+    the closure of every generator and the generators.
     """
-    stage = run._stage(())
-    if stage.coloring.is_discrete():
-        return stage
-    return _extend(run, stage, lambda t: not t.coloring.is_discrete())
+    stage, generators = run._stage(()), []
+    while True:
+        _, witnesses, deeper = stage_orbits(run, stage)
+        generators += witnesses
+        if deeper is None:
+            return stage, closure_orbits(run.g.n, generators), generators
+        stage = deeper
 
 
 def stage_orbits(run, stage):
-    """Orbits of the subgroup found by matching one-vertex extensions.
+    """Orbits found by matching stage's one-vertex extensions, in
+    _candidate_order, up to the first one that stays non-discrete.
 
-    Every vertex y of every non-singleton stage class is individualized and
-    refined. The first discrete extension with a given trace digest anchors
-    it; a later one is matched to its anchor by extract_isomorphism unless
-    the witnesses so far join y with the anchor's last fix: they fix the
-    stage's fixes, so the unique map extraction would return is in their
-    group. So each verified witness joins two orbits. An unmatched extension
-    is left unmerged, keeping a lower bound. Returns the orbits and witnesses.
+    The first discrete extension with a given trace digest anchors it; a
+    later one is matched to its anchor by extract_isomorphism, and a
+    verified witness is kept and joined in. A vertex y that the witnesses
+    so far join to a scanned vertex with a discrete extension is not
+    refined: they fix the stage's fixes, so y's extension is the image of
+    that one, discrete with the same digest and anchor, and the unique map
+    extraction would return is in their group. So each witness joins two
+    orbits, and no skipped vertex could have been the first non-discrete
+    extension. An unmatched extension is left unmerged, keeping a lower
+    bound. Returns the orbits, the witnesses and the first non-discrete
+    extension, None when stage is regular.
     """
-    generators = []
-    anchors = {}
-    q = OrderedPartition.singletons(run.g.n)
-    class_of = stage.coloring.vertex_partition.class_of
-    by_class = np.argsort(class_of, kind="stable")
-    for y in by_class[np.bincount(class_of)[class_of[by_class]] > 1].tolist():
+    n = run.g.n
+    generators, anchors = [], {}
+    q = OrderedPartition.singletons(n)
+    scanned = np.zeros(n, dtype=bool)
+    for y in _candidate_order(stage.coloring):
+        if scanned[q.class_of == q.class_of[y]].any():
+            continue
         extension = run._stage(stage.fixes + (y,))
         if not extension.coloring.is_discrete():
-            # Regular stages never produce this; tolerate it soundly by
-            # leaving y unmerged.
-            continue
+            return q, generators, extension
+        scanned[y] = True
         anchor = anchors.setdefault(extension.coloring.trace_digest, extension)
-        if q.class_of[anchor.fixes[-1]] == q.class_of[y]:
-            continue
-        witness = extract_isomorphism(anchor, extension)
+        witness = None if anchor is extension else extract_isomorphism(anchor, extension)
         if witness is not None:
             generators.append(witness)
-            q = partition_join(q, closure_orbits(run.g.n, [witness]))
-    return q, generators
+            q = partition_join(q, closure_orbits(n, [witness]))
+    return q, generators, None
 
 
 def _default_depth_budget(n):
@@ -474,19 +487,21 @@ def compute_orbits(g, cfg=None):
     coloring.
 
     Unless the base stage is discrete, the pass finds a regular stage
-    (find_regular_stage), takes the orbits of its matched one-vertex
-    extensions, and then sweeps the class pairs left with verify_merge (see
-    _verify_sweep). Status is certified when the partition reaches the
-    stable coloring (sandwich certificate), and lower_bound otherwise. A
-    generator is emitted only when it joins two orbits, and verified
-    entrywise once, where it is made (by extract_isomorphism or
-    verify_merge's swap check).
+    (find_regular_stage), whose scans match the one-vertex extensions of
+    every stage on the way, and takes the closure of the generators they
+    found; no extension is refined or matched twice. It then sweeps the
+    class pairs left with verify_merge (see _verify_sweep). Status is
+    certified when the partition reaches the stable coloring (sandwich
+    certificate), and lower_bound otherwise. A generator is emitted only
+    when it joins two orbits of its stage or sweep, and verified entrywise
+    once, where it is made (by extract_isomorphism or verify_merge's swap
+    check).
     """
     run = Run(g, cfg)
     stable = run._stage(()).coloring.vertex_partition
     q, generators = OrderedPartition.singletons(g.n), []
     if not stable.is_discrete():
-        q, generators = stage_orbits(run, find_regular_stage(run))
+        _, q, generators = find_regular_stage(run)
         q = _verify_sweep(run, q, stable, generators)
     status = CERTIFIED if q.same_blocks(stable) else LOWER_BOUND
     return OrbitSystem(q, tuple(generators), status, run.stats)

@@ -256,7 +256,8 @@ def _atoms(g, diagonal, k):
     vertex colors c(x_i, x_i). Only the diagonal cells (v, ..., v) have
     every equality set, so they rank last. Every vertex color is read from
     the given diagonal: where x_i = x_j, the pair color c(x_i, x_j) is
-    overwritten with it, so g's own diagonal is never read.
+    overwritten with it, unless the diagonal is g's own, when the pair
+    color already holds it.
     """
     n = g.n
 
@@ -272,8 +273,9 @@ def _atoms(g, diagonal, k):
     rows = np.empty((n,) * k + (len(columns),), dtype=np.int64)
     for col, values in enumerate(columns):
         rows[..., col] = values
-    for col, (i, j) in enumerate(itertools.permutations(range(k), 2), start=k * (k - 1) // 2):
-        np.copyto(rows[..., col], along(diagonal, i), where=along(x, i) == along(x, j))
+    if not np.array_equal(diagonal, g.colors.diagonal()):
+        for col, (i, j) in enumerate(itertools.permutations(range(k), 2), start=k * (k - 1) // 2):
+            np.copyto(rows[..., col], along(diagonal, i), where=along(x, i) == along(x, j))
     return rows.reshape(n**k, -1)
 
 

@@ -60,20 +60,20 @@ K2 = RefinementConfig(k=2)
 
 
 def test_regular_stage_discrete_graph_stops_immediately():
-    stage = find_regular_stage(Run(rigid6(), K2))
-    assert stage.fixes == ()
+    stage, q, gens = find_regular_stage(Run(rigid6(), K2))
+    assert stage.fixes == () and q.is_discrete() and gens == []
     assert stage.coloring.is_discrete()
 
 
 def test_regular_stage_k4():
-    stage = find_regular_stage(Run(complete_graph(4), K1))
+    stage, _, _ = find_regular_stage(Run(complete_graph(4), K1))
     assert len(stage.fixes) == 2
     sizes = sorted(len(c) for c in stage.coloring.vertex_partition.classes)
     assert sizes == [1, 1, 2]
 
 
 def test_regular_stage_c5():
-    stage = find_regular_stage(Run(cycle_graph(5), K1))
+    stage, _, _ = find_regular_stage(Run(cycle_graph(5), K1))
     assert len(stage.fixes) == 1
     part = stage.coloring.vertex_partition
     v0 = stage.fixes[0]
@@ -88,7 +88,7 @@ def test_regular_stage_postcondition():
     rng = np.random.default_rng(30)
     for _ in range(10):
         g = random_simple_graph(rng, int(rng.integers(4, 8)), 0.5)
-        stage = find_regular_stage(Run(g, K2))
+        stage, _, _ = find_regular_stage(Run(g, K2))
         part = stage.coloring.vertex_partition
         if part.is_discrete():
             assert stage.fixes == ()
@@ -257,9 +257,9 @@ def test_bounded_stage_store_gives_the_same_orbits(monkeypatch):
 
 def test_stage_store_holds_a_scan_of_every_extension(monkeypatch):
     # On a rigid cubic graph the search for a regular stage scans the base
-    # stage's n extensions, and stage_orbits scans them again. A store of
-    # 800 // 40 = 20 stages would evict each extension before the second
-    # scan asks for it; the floor of n + 1 stages keeps them all.
+    # stage's n extensions once, and a verify_merge would scan them again.
+    # A store of 800 // 40 = 20 stages would evict each extension before a
+    # second scan asks for it; the floor of n + 1 stages keeps them all.
     networkx = pytest.importorskip("networkx")
     g = from_undirected_edges(40, networkx.random_regular_graph(3, 40, seed=40).edges())
     monkeypatch.setattr(engine, "STAGE_STORE_VERTICES", 800)
@@ -281,7 +281,7 @@ def test_canonical_form_deterministic_and_relabeling_invariant():
     rng = np.random.default_rng(31)
     g = random_simple_graph(rng, 6, 0.5)
     run = Run(g, K2)
-    stage = find_regular_stage(run)
+    stage, _, _ = find_regular_stage(run)
     fixes = stage.fixes
     if not stage.coloring.is_discrete():
         y = engine._candidate_order(stage.coloring)[0]
@@ -356,8 +356,9 @@ def test_extract_isomorphism_checks_the_bijection_entrywise(branch):
 def test_stage_orbits_k4():
     g = complete_graph(4)
     run = Run(g, K1)
-    stage = find_regular_stage(run)
-    part, gens = stage_orbits(run, stage)
+    stage, _, _ = find_regular_stage(run)
+    part, gens, deeper = stage_orbits(run, stage)
+    assert deeper is None
     rest = tuple(v for v in range(4) if v not in stage.fixes)
     assert part.same_blocks(
         OrderedPartition.from_classes([[stage.fixes[0]], [stage.fixes[1]], list(rest)])
@@ -368,25 +369,29 @@ def test_stage_orbits_k4():
 def test_stage_orbits_c5():
     g = cycle_graph(5)
     run = Run(g, K1)
-    stage = find_regular_stage(run)
-    part, gens = stage_orbits(run, stage)
+    stage, q, found = find_regular_stage(run)
+    part, gens, deeper = stage_orbits(run, stage)
+    assert deeper is None and part == q
+    assert [w.as_list() for w in gens] == [w.as_list() for w in found]
     assert part.same_blocks(OrderedPartition.from_classes([[0], [1, 4], [2, 3]]))
     assert gens and all(is_automorphism(g, w) for w in gens)
 
 
-def test_stage_orbits_leaves_non_discrete_extensions_unmerged():
+def test_stage_orbits_stops_at_the_first_non_discrete_extension():
     # Every one-vertex extension of C6 keeps the reflection through its fix.
     run = Run(cycle_graph(6), K1)
-    part, gens = stage_orbits(run, run.stage(()))
+    part, gens, deeper = stage_orbits(run, run.stage(()))
     assert part.is_discrete() and gens == []
+    assert deeper.fixes == (0,) and not deeper.coloring.is_discrete()
+    assert run.stats.refine_calls == 2
 
 
 def test_stage_orbits_rigid_graph_no_generators():
     g = rigid6()
     run = Run(g, K2)
-    stage = find_regular_stage(run)
-    part, gens = stage_orbits(run, stage)
-    assert part.is_discrete() and gens == []
+    stage, _, _ = find_regular_stage(run)
+    part, gens, deeper = stage_orbits(run, stage)
+    assert part.is_discrete() and gens == [] and deeper is None
 
 
 def test_rigid_cubic_k1_search_builds_no_canonical_form(monkeypatch):
@@ -552,6 +557,24 @@ def test_each_generator_is_verified_once_where_it_is_made(monkeypatch, g, cfg, c
     system = compute_orbits(g, cfg)
     assert system.status == CERTIFIED and len(system.generators) == count
     assert calls == [w.as_list() for w in system.generators]
+
+
+@pytest.mark.parametrize(
+    "g, cfg, refines",
+    [
+        (cycle_graph(30), K2, 19),
+        (paley_graph(29), K1, 20),
+        (_colored_circulant(40, 40), K2, 3),
+    ],
+    ids=["c30-k2", "paley29-k1", "circulant40-k2"],
+)
+def test_search_refines_no_extension_its_witnesses_already_match(g, cfg, refines):
+    # The base stage, the regular stage of one fix, and only the extensions
+    # of that stage that no witness has matched yet: the circulant's first
+    # witness joins every vertex.
+    system = compute_orbits(g, cfg)
+    assert system.status == CERTIFIED
+    assert system.stats.refine_calls == refines
 
 
 # ---------------------------------------------------------- verify_merge
@@ -865,11 +888,11 @@ def test_candidate_order_discrete_is_empty():
 
 def test_search_repeats_itself_from_the_stage_store():
     run = Run(petersen_graph(), K1)
-    stage = find_regular_stage(run)
+    stage, _, _ = find_regular_stage(run)
     q = OrderedPartition.singletons(10)
     witness = verify_merge(run, q, 0, 1)
     refines = run.stats.refine_calls
-    assert find_regular_stage(run) is stage
+    assert find_regular_stage(run)[0] is stage
     assert witness is not None and verify_merge(run, q, 0, 1) == witness
     assert run.stats.refine_calls == refines
 

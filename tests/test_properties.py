@@ -28,6 +28,7 @@ from autorbits import (
     apply_permutation,
     brute_iso,
     brute_orbits,
+    closure_orbits,
     compute_orbits,
     complete_graph,
     cycle_graph,
@@ -54,6 +55,7 @@ from util import (
     reference_candidate_order,
     reference_classes,
     reference_compute_orbits,
+    reference_find_regular_stage,
     reference_merge_candidates,
     reference_verify_merge,
     rook_graph_4x4,
@@ -346,10 +348,11 @@ def test_stage_orbits_matches_grouping_by_canonical_form(case):
     run = engine.Run(g, cfg)
     for v in range(g.n):
         stage = seeded_regular_stage(run, v)
-        part, gens = engine.stage_orbits(run, stage)
-        want_part, want_gens = form_grouped_stage_orbits(run, stage)
+        part, gens, deeper = engine.stage_orbits(run, stage)
+        want_part, want_gens, want_deeper = form_grouped_stage_orbits(run, stage)
         assert part.classes == want_part.classes
         assert [w.as_list() for w in gens] == [w.as_list() for w in want_gens]
+        assert deeper is want_deeper is None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -417,15 +420,17 @@ def test_partition_scans_match_the_loop_references_on_reached_stages(case):
 
 
 def _assert_orbits_match_the_reference(g, cfg):
-    # The engine runs the reference's first iteration alone. The later
+    # The engine runs the reference's first iteration alone, and its search
+    # keeps the generators it meets above the regular stage. The later
     # iterations must change no partition or status; they may only add
-    # generators and spend refines.
+    # generators and spend refines. The engine's partition is the closure
+    # of its verified generators.
     got = compute_orbits(g, cfg)
     want = reference_compute_orbits(g, cfg)
     assert got.status == want.status
     assert got.partition == want.partition
-    gens, want_gens = [w.as_list() for w in got.generators], [w.as_list() for w in want.generators]
-    assert gens == want_gens[:len(gens)]
+    assert all(is_automorphism(g, w) for w in got.generators)
+    assert closure_orbits(g.n, got.generators) == got.partition
     got_stats, want_stats = asdict(got.stats), asdict(want.stats)
     assert got_stats.pop("refine_calls") <= want_stats.pop("refine_calls")
     assert got_stats == want_stats
@@ -451,6 +456,41 @@ def planted_symmetry_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(planted_symmetry_cases())
 def test_compute_orbits_matches_the_sweep_per_iteration_reference_on_planted_symmetry(case):
+    _assert_orbits_match_the_reference(*case)
+
+
+@st.composite
+def colored_circulant_cases(draw):
+    """A circulant digraph on Z_n, n <= 12, whose arc u -> v has a color in
+    1..4 drawn for v - u. Its rotations make it vertex-transitive."""
+    n = draw(st.integers(2, 12))
+    off = np.array([0] + draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1)))
+    v = np.arange(n)
+    return EdgeColoredGraph(off[(v[None, :] - v[:, None]) % n]), RefinementConfig(k=draw(st.sampled_from((1, 2))))
+
+
+def search_cases():
+    return st.one_of(stage_cases(), planted_symmetry_cases(), colored_circulant_cases())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(search_cases())
+@_with_named_graphs
+def test_search_reaches_the_regular_stage_of_the_greedy_reference(case):
+    # The reference refines every candidate up to the first non-discrete
+    # extension; the engine skips those its witnesses already match.
+    g, cfg = case
+    run, want_run = engine.Run(g, cfg), engine.Run(g, cfg)
+    stage, q, gens = engine.find_regular_stage(run)
+    assert stage.fixes == reference_find_regular_stage(want_run).fixes
+    assert all(is_automorphism(g, w) for w in gens)
+    assert closure_orbits(g.n, gens) == q
+    assert run.stats.refine_calls <= want_run.stats.refine_calls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(search_cases())
+def test_compute_orbits_matches_the_sweep_per_iteration_reference_on_searched_inputs(case):
     _assert_orbits_match_the_reference(*case)
 
 

@@ -111,30 +111,32 @@ def cycle_union(*lengths):
 
 
 def form_grouped_stage_orbits(run, stage):
-    """Reference for engine.stage_orbits that groups the discrete one-vertex
-    extensions by their full canonical form: the first extension with a
-    form anchors it, and each later one with an equal form must give a
-    verified automorphism by extract_isomorphism, unless the generators so
-    far already join its vertex with the anchor's last fix."""
+    """Reference for engine.stage_orbits that refines every one-vertex
+    extension and groups the discrete ones by their full canonical form.
+
+    It walks the extensions in reference_candidate_order and stops at the
+    first non-discrete one. The first extension with a form anchors it,
+    and each later one with an equal form must give a verified
+    automorphism by extract_isomorphism, unless the generators so far
+    already join its vertex with the anchor's last fix. Returns the
+    orbits, the generators and that non-discrete extension, or None.
+    """
     n = run.g.n
     generators = []
     groups = {}
     orbits = reference_join_pairs(n, [])
-    for members in reference_classes(stage.coloring.vertex_partition):
-        if len(members) < 2:
+    for y in reference_candidate_order(stage.coloring):
+        extension = run.stage(stage.fixes + (y,))
+        if not extension.coloring.is_discrete():
+            return orbits, generators, extension
+        anchor = groups.setdefault(canonical_form_discrete(extension), extension)
+        if orbits.class_of[anchor.fixes[-1]] == orbits.class_of[y]:
             continue
-        for y in members:
-            extension = run.stage(stage.fixes + (y,))
-            if not extension.coloring.is_discrete():
-                continue
-            anchor = groups.setdefault(canonical_form_discrete(extension), extension)
-            if orbits.class_of[anchor.fixes[-1]] == orbits.class_of[y]:
-                continue
-            witness = extract_isomorphism(anchor, extension)
-            assert witness is not None, "equal canonical forms failed isomorphism extraction"
-            generators.append(witness)
-            orbits = reference_join_pairs(n, [(v, w(v)) for w in generators for v in range(n)])
-    return orbits, generators
+        witness = extract_isomorphism(anchor, extension)
+        assert witness is not None, "equal canonical forms failed isomorphism extraction"
+        generators.append(witness)
+        orbits = reference_join_pairs(n, [(v, w(v)) for w in generators for v in range(n)])
+    return orbits, generators, None
 
 
 # Loop references for the array scans of partitions and the engine: the
@@ -195,23 +197,35 @@ def reference_join_pairs(n, pairs):
     return OrderedPartition(ids[roots])
 
 
+def _stays_non_discrete(stage):
+    return not stage.coloring.is_discrete()
+
+
+def reference_find_regular_stage(run):
+    """Reference for engine.find_regular_stage's stage: the greedy search
+    that refines candidates in order. Each step fixes the first vertex in
+    _candidate_order whose one-vertex extension stays non-discrete, and
+    the last step refines every extension of the regular stage to find
+    none."""
+    stage = run.stage(())
+    if stage.coloring.is_discrete():
+        return stage
+    return engine._extend(run, stage, _stays_non_discrete)
+
+
 def seeded_regular_stage(run, seed):
     """A regular stage whose search tries seed before every other vertex at
     its first step: the seed the iterated reference rotates.
 
     When the base stage and the stage of (seed,) are both non-discrete, the
     search extends from the stage of (seed,); otherwise it extends from the
-    base stage, as engine.find_regular_stage does.
+    base stage, as reference_find_regular_stage does.
     """
     stage = run.stage(())
     if stage.coloring.is_discrete():
         return stage
-
-    def keep(trial):
-        return not trial.coloring.is_discrete()
-
     seeded = run.stage((seed,))
-    return engine._extend(run, seeded if keep(seeded) else stage, keep)
+    return engine._extend(run, seeded if _stays_non_discrete(seeded) else stage, _stays_non_discrete)
 
 
 def reference_compute_orbits(g, cfg=None):
@@ -221,17 +235,17 @@ def reference_compute_orbits(g, cfg=None):
     Each of up to n - 1 iterations finds a regular stage, joins in its
     stage orbits and sweeps; the run stops early once class-count - 1
     iterations in a row change nothing. The first iteration searches
-    unseeded and is the one pass; each later one seeds its search from the
-    next class of the partition (seeded_regular_stage). The engine's
-    answers must equal the reference's, its generators be a prefix of the
-    reference's, and its refines be no more (see tests/test_properties.py).
+    unseeded (reference_find_regular_stage); each later one seeds its
+    search from the next class of the partition (seeded_regular_stage).
+    The engine's partition and status must equal the reference's, and its
+    refines be no more (see tests/test_properties.py).
 
     Each sweep enumerates the merge candidates of the current partition
     afresh, skips the pairs that the run tried before (one set of them per
     run) and starts over after each merge, until a pass merges nothing or
-    the partition meets the stable coloring. The stages, stage orbits and
-    merges come from the engine's own find_regular_stage, stage_orbits and
-    _verify_merge.
+    the partition meets the stable coloring. The stage orbits come from
+    form_grouped_stage_orbits, which refines every extension of the
+    regular stage, and the merges from the engine's own _verify_merge.
     """
     run = engine.Run(g, cfg)
     stable = run._stage(()).coloring.vertex_partition
@@ -244,10 +258,10 @@ def reference_compute_orbits(g, cfg=None):
             break
         before = q
         if i == 0:
-            stage = engine.find_regular_stage(run)
+            stage = reference_find_regular_stage(run)
         else:
             stage = seeded_regular_stage(run, int(q.first_members()[i % q.class_count]))
-        part, new_gens = engine.stage_orbits(run, stage)
+        part, new_gens, _ = form_grouped_stage_orbits(run, stage)
         generators.update(dict.fromkeys(new_gens))
         q = partition_join(q, part)
         while not q.same_blocks(stable):
