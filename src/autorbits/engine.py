@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InternalInvariantError, NotDiscreteError, SizeMismatchError
+from .errors import InternalInvariantError, NotDiscreteError
 from .graphs import Permutation, apply_permutation, is_automorphism, is_integer
 from .graphs import disjoint_union  # noqa: F401  (the benchmark tracer wraps engine.disjoint_union)
 from .partitions import OrderedPartition, closure_orbits, partition_join
@@ -113,9 +113,10 @@ class Run:
         and an insert evicts from the front, so frequently asked stages
         (the base stage above all) stay resident. It holds
         STAGE_STORE_VERTICES // n stages, but never fewer than n + 1: a
-        scan (stage_orbits, or _extend in verify_merge) walks a stage and
-        up to n of its one-vertex extensions, and a store smaller than a
-        repeated scan would evict each stage before it is asked again.
+        scan (stage_orbits, or a growth step of verify_merge's fix
+        sequence) walks a stage and up to n of its one-vertex extensions,
+        and a store smaller than a repeated scan would evict each stage
+        before it is asked again.
 
         At k >= 2 with n^(k-1) >= ONE_WL_FIRST, the individualized graph is
         refined at k=1 first, and a discrete k=1 coloring is stored as the
@@ -211,23 +212,6 @@ def _candidate_order(coloring, exclude=()):
     size_of[list(exclude)] = 1  # dropped below, as singletons are
     order = np.lexsort((class_of, size_of))
     return order[size_of[order] > 1].tolist()
-
-
-def _extend(run, stage, keep, exclude=()):
-    """Greedily lengthen stage's fix sequence while keep allows it.
-
-    Each step fixes the first candidate in _candidate_order whose one-vertex
-    extension satisfies keep. Returns the stage at which no candidate is
-    kept.
-    """
-    while True:
-        for y in _candidate_order(stage.coloring, exclude):
-            trial = run._stage(stage.fixes + (y,))
-            if keep(trial):
-                stage = trial
-                break
-        else:
-            return stage
 
 
 def canonical_form_discrete(stage):
@@ -340,11 +324,10 @@ def _default_depth_budget(n):
     return max(1, math.ceil(math.log2(max(2, n)))) + 1
 
 
-def verify_merge(run, q_partition, class_a, class_b):
-    """Search for an automorphism of run.g joining two classes of q_partition.
+def verify_merge(run, o1, o2):
+    """Search for an automorphism of run.g that maps vertex o1 to vertex o2.
 
-    The two classes are represented by their first members o1 and o2. If
-    the base stage separates them there is none to find. Otherwise one
+    If the base stage separates them there is none to find. Otherwise one
     step reads the distance profiles of o1 and o2 (Run._profile), with no
     refine. If their sorted forms differ, no automorphism maps o1 to o2,
     and the search ends. Else it finds the vertices at unequal distances
@@ -353,32 +336,24 @@ def verify_merge(run, q_partition, class_a, class_b):
     it is an automorphism: an automorphism (o1 o2) keeps every other
     vertex's distances to and from o1 and o2 equal, so every such swap is
     found here. Else the search grows a fix sequence that keeps o1 and o2
-    in a common color class for as long as possible, then
-    co-individualizes them and descends the resulting pair of colorings in
-    lock step, one co-fixed vertex pair per level. The fix sequence never
-    tries a vertex at unequal distances: refinement with y fixed splits
-    vertices by their distances to and from y, so y would separate o1 and
-    o2. No use of the profiles can change an answer, unless a refinement
-    hash collision would have kept together two classes that exact
-    refinement splits. The descent is cut at depth ceil(log2 n) + 1 and
-    after max(64, 8 n) nodes. Either witness is verified entrywise before
-    it is returned;
-    None is *not* a proof that the classes are separate. q_partition must
-    be a partition of run.g's vertices (SizeMismatchError otherwise), and
-    the two classes distinct integer ids in [0, class_count) (ValueError
+    in a common color class for as long as possible: each step fixes the
+    first vertex in _candidate_order whose extension keeps them together.
+    It then co-individualizes them and descends the resulting pair of
+    colorings in lock step, one co-fixed vertex pair per level. The fix
+    sequence never tries a vertex at unequal distances: refinement with y
+    fixed splits vertices by their distances to and from y, so y would
+    separate o1 and o2. No use of the profiles can change an answer, unless
+    a refinement hash collision would have kept together two classes that
+    exact refinement splits. The descent is cut at depth ceil(log2 n) + 1
+    and after max(64, 8 n) nodes. Either witness is verified entrywise
+    before it is returned; None is *not* a proof that no automorphism maps
+    o1 to o2. o1 and o2 must be distinct vertices of run.g (ValueError
     otherwise; a bool counts as an integer).
     """
-    if q_partition.n != run.g.n:
-        raise SizeMismatchError("partition size does not match graph order")
-    count = q_partition.class_count
-    if class_a == class_b or not all(is_integer(c) and 0 <= c < count for c in (class_a, class_b)):
-        raise ValueError(f"classes to merge must be distinct ids in [0, {count})")
-    o1, o2 = q_partition.first_members()[[int(class_a), int(class_b)]].tolist()
-    return _verify_merge(run, o1, o2)
-
-
-def _verify_merge(run, o1, o2):
-    """verify_merge of two distinct vertices of run.g, not validated."""
+    n = run.g.n
+    if not all(is_integer(v) and 0 <= v < n for v in (o1, o2)) or o1 == o2:
+        raise ValueError(f"vertices to merge must be distinct vertices in [0, {n})")
+    o1, o2 = int(o1), int(o2)
 
     def together(stage):
         class_of = stage.coloring.vertex_partition.class_of
@@ -392,14 +367,20 @@ def _verify_merge(run, o1, o2):
         return None
     # o1 and o2 are among these: each is at distance 0 from itself only.
     apart = np.flatnonzero((dist1 != dist2).any(axis=0)).tolist()
-    n = run.g.n
     if len(apart) == 2:
         swap = np.arange(n)
         swap[[o1, o2]] = o2, o1
         swap = Permutation(swap)
         if is_automorphism(run.g, swap):
             return swap
-    stage = _extend(run, stage, together, exclude=apart)
+    while True:
+        for y in _candidate_order(stage.coloring, apart):
+            trial = run._stage(stage.fixes + (y,))
+            if together(trial):
+                stage = trial
+                break
+        else:
+            break
     t1 = run._stage(stage.fixes + (o1,))
     t2 = run._stage(stage.fixes + (o2,))
     # A successful search examines few graphs; a search past the node
@@ -508,14 +489,17 @@ def compute_orbits(g, cfg=None):
 
 
 def _verify_sweep(run, q, stable, generators):
-    """Try _verify_merge once on each candidate pair still of first members,
+    """Try verify_merge once on each candidate pair still of first members,
     appending each witness (it joins two q-classes) to generators until q
-    meets stable. q only coarsens, so one sweep tries every pair it could."""
+    meets stable. q only coarsens, so one sweep tries every pair it could.
+    verify_merge is looked up as a module global on every call, so a
+    wrapper put in its place (as the benchmark tracer does) sees each
+    merge."""
     first_of = q.first_members()[q.class_of]
     for o1, o2 in _merge_candidates(q, stable):
         if first_of[o1] != o1 or first_of[o2] != o2:
             continue
-        witness = _verify_merge(run, o1, o2)
+        witness = verify_merge(run, o1, o2)
         if witness is not None:
             generators.append(witness)
             q = partition_join(q, closure_orbits(run.g.n, [witness]))

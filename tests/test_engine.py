@@ -15,7 +15,6 @@ from autorbits import (
     OrderedPartition,
     RefinementConfig,
     Run,
-    SizeMismatchError,
     StableColoring,
     StageGraph,
     apply_permutation,
@@ -583,60 +582,56 @@ def test_search_refines_no_extension_its_witnesses_already_match(g, cfg, refines
 def test_verify_merge_c5_singletons():
     g = cycle_graph(5)
     q = OrderedPartition.from_classes([[0], [1], [4], [2, 3]])
-    w = verify_merge(Run(g, K1), q, 1, 2)
+    w = verify_merge(Run(g, K1), *q.first_members()[[1, 2]])
     assert w is not None and w(1) == 4 and is_automorphism(g, w)
 
 
 def test_verify_merge_two_triangles():
     g = disjoint_union(cycle_graph(3), cycle_graph(3))
     q = OrderedPartition.from_classes([[0, 1, 2], [3, 4, 5]])
-    w = verify_merge(Run(g, K1), q, 0, 1)
+    w = verify_merge(Run(g, K1), *q.first_members()[[0, 1]])
     assert w is not None and w(0) in (3, 4, 5) and is_automorphism(g, w)
 
 
 def test_verify_merge_triangle_vs_square_fails():
     g = disjoint_union(cycle_graph(3), cycle_graph(4))
     q = OrderedPartition.from_classes([[0, 1, 2], [3, 4, 5, 6]])
-    assert verify_merge(Run(g, K1), q, 0, 1) is None
+    assert verify_merge(Run(g, K1), *q.first_members()[[0, 1]]) is None
 
 
 def test_verify_merge_rejects_same_class():
     g = cycle_graph(4)
-    q = OrderedPartition.from_classes([[0, 1, 2, 3]])
     with pytest.raises(ValueError):
-        verify_merge(Run(g, K1), q, 0, 0)
+        verify_merge(Run(g, K1), 0, 0)
 
 
-def test_verify_merge_validates_its_partition():
+def test_verify_merge_validates_its_vertices():
     run = Run(cycle_graph(5), K1)
-    with pytest.raises(SizeMismatchError):
-        verify_merge(run, OrderedPartition.singletons(3), 0, 1)
-    with pytest.raises(SizeMismatchError):
-        verify_merge(run, OrderedPartition.singletons(8), 0, 6)
-    for a, b in ((0, 5), (-1, 0), (2, -5)):
+    for o1, o2 in ((3, 3), (0, 5), (7, 1), (-1, 0), (2, -5)):
         with pytest.raises(ValueError):
-            verify_merge(run, OrderedPartition.singletons(5), a, b)
+            verify_merge(run, o1, o2)
+    assert run.stats.refine_calls == 0
 
 
 @pytest.mark.parametrize("bad", [1.0, np.float64(2.0), "1", None], ids=repr)
-def test_verify_merge_refuses_a_non_integer_class_id(bad):
+def test_verify_merge_refuses_a_non_integer_vertex(bad):
     run = Run(cycle_graph(5), K1)
-    q = OrderedPartition.singletons(5)
-    for ids in ((0, bad), (bad, 0)):
+    for pair in ((0, bad), (bad, 0)):
         with pytest.raises(ValueError):
-            verify_merge(run, q, *ids)
-    # A numpy integer or a bool is an integer id.
-    want = verify_merge(run, q, 1, 2)
-    assert verify_merge(run, q, np.int64(1), np.int64(2)) == want
-    assert verify_merge(run, q, True, 2) == want
-    assert verify_merge(run, q, False, True) == verify_merge(run, q, 0, 1)
+            verify_merge(run, *pair)
+    # A numpy integer or a bool is an integer vertex.
+    want = verify_merge(run, 1, 2)
+    assert want is not None and want(1) == 2
+    assert verify_merge(run, np.int64(1), np.int64(2)) == want
+    assert verify_merge(run, True, 2) == want
+    assert verify_merge(run, False, True) == verify_merge(run, 0, 1)
 
 
 def test_verify_merge_separated_by_base_coloring_refines_once():
     g = disjoint_union(cycle_graph(3), path_graph(3))
     q = OrderedPartition.from_classes([[0, 1, 2], [3, 5], [4]])
     run = Run(g, K1)
-    assert verify_merge(run, q, 0, 1) is None
+    assert verify_merge(run, *q.first_members()[[0, 1]]) is None
     assert run.stats.refine_calls == 1
 
 
@@ -646,7 +641,7 @@ def test_distance_profiles_settle_a_hopeless_merge_with_no_refine():
     run = Run(cycle_union(5, 6), K1)
     run._stage(())
     before = (run.stats.refine_calls, run.stats.verify_tree_nodes)
-    assert engine._verify_merge(run, 0, 5) is None
+    assert verify_merge(run, 0, 5) is None
     assert (run.stats.refine_calls, run.stats.verify_tree_nodes) == before
 
 
@@ -658,7 +653,7 @@ def test_distance_profiles_settle_a_hopeless_merge_without_reading_the_graph():
     run._stage(())
     run._profile(0), run._profile(5)
     run.g = SimpleNamespace(n=g.n)
-    assert engine._verify_merge(run, 0, 5) is None
+    assert verify_merge(run, 0, 5) is None
 
 
 def _crossed_k24():
@@ -686,7 +681,7 @@ def test_verify_merge_descends_when_the_proposed_swap_is_refused(monkeypatch):
     run = Run(CROSSED_K24, K1)
     (dist0, _), (dist1, _) = run._profile(0), run._profile(1)
     assert np.flatnonzero((dist0 != dist1).any(axis=0)).tolist() == [0, 1]
-    witness = engine._verify_merge(run, 0, 1)
+    witness = verify_merge(run, 0, 1)
     assert checked[0] == ([1, 0, 2, 3, 4, 5], False)
     assert witness.as_list() == [1, 0, 4, 5, 2, 3]
     assert run.stats.verify_tree_nodes > 0
@@ -705,7 +700,7 @@ def test_verify_merge_never_fixes_a_vertex_the_distances_show_apart(monkeypatch)
 
     monkeypatch.setattr(Run, "_stage", spy)
     run = Run(g, K2)
-    witness = engine._verify_merge(run, 0, 1)
+    witness = verify_merge(run, 0, 1)
     assert witness is not None and witness(0) == 1
     apart = [y for y in range(32) if bin(y).count("1") != bin(y ^ 1).count("1")]
     assert len(apart) == 32
@@ -770,7 +765,7 @@ def _is_transposition(w):
 
 def test_verify_merge_of_twins_is_their_swap_without_a_descent():
     run = Run(complete_graph(5), K1)
-    w = verify_merge(run, OrderedPartition.singletons(5), 1, 3)
+    w = verify_merge(run, 1, 3)
     assert w.as_list() == [0, 3, 2, 1, 4]
     assert run.stats.refine_calls == 1 and run.stats.verify_tree_nodes == 0
 
@@ -853,7 +848,7 @@ def test_compute_orbits_sweeps_once_and_tries_each_pair_once(monkeypatch, name):
     else:
         g = cycle_union(20, 21)
     enumerations, pairs = [], []
-    real_candidates, real_merge = engine._merge_candidates, engine._verify_merge
+    real_candidates, real_merge = engine._merge_candidates, engine.verify_merge
 
     def candidates(*args):
         enumerations.append(args)
@@ -864,7 +859,7 @@ def test_compute_orbits_sweeps_once_and_tries_each_pair_once(monkeypatch, name):
         return real_merge(run, o1, o2)
 
     monkeypatch.setattr(engine, "_merge_candidates", candidates)
-    monkeypatch.setattr(engine, "_verify_merge", merge)
+    monkeypatch.setattr(engine, "verify_merge", merge)
     system = compute_orbits(g, K1)
     assert system.status == LOWER_BOUND
     assert len(enumerations) == 1
@@ -889,11 +884,10 @@ def test_candidate_order_discrete_is_empty():
 def test_search_repeats_itself_from_the_stage_store():
     run = Run(petersen_graph(), K1)
     stage, _, _ = find_regular_stage(run)
-    q = OrderedPartition.singletons(10)
-    witness = verify_merge(run, q, 0, 1)
+    witness = verify_merge(run, 0, 1)
     refines = run.stats.refine_calls
     assert find_regular_stage(run)[0] is stage
-    assert witness is not None and verify_merge(run, q, 0, 1) == witness
+    assert witness is not None and verify_merge(run, 0, 1) == witness
     assert run.stats.refine_calls == refines
 
 
@@ -911,6 +905,29 @@ def test_compute_orbits_searches_through_find_regular_stage(monkeypatch, g, sear
     for runs in (1, 2):
         compute_orbits(g, K1)
         assert len(calls) == runs * searches
+
+
+@pytest.mark.parametrize(
+    "g, cfg, merges",
+    [(complete_graph(8), K1, 6), (petersen_graph(), K1, 2), (cycle_union(3, 3), K2, 3)],
+    ids=["k8", "petersen", "c3+c3"],
+)
+def test_compute_orbits_sweeps_through_verify_merge(monkeypatch, g, cfg, merges):
+    # The sweep looks verify_merge up as a module global, so a wrapper put
+    # in its place sees every merge and changes no answer.
+    want = compute_orbits(g, cfg)
+    calls = []
+    real = engine.verify_merge
+
+    def spy(run, o1, o2):
+        calls.append((o1, o2))
+        return real(run, o1, o2)
+
+    monkeypatch.setattr(engine, "verify_merge", spy)
+    got = compute_orbits(g, cfg)
+    assert len(calls) == merges
+    assert (got.status, got.partition.same_blocks(want.partition)) == (want.status, True)
+    assert got.generators == want.generators and got.stats == want.stats
 
 
 # --------------------------------------------------------------- iso_test
@@ -1103,14 +1120,14 @@ def test_depth_instrumentation_bounded():
 
 def test_verify_merge_depth_budget_flagged(monkeypatch):
     g = from_undirected_edges(4, [(0, 1), (2, 3)])
-    q = OrderedPartition.from_classes([[0, 1], [2, 3]])
+    o1, o2 = OrderedPartition.from_classes([[0, 1], [2, 3]]).first_members()
     # with the default budget the swap is found
-    w = verify_merge(Run(g, K1), q, 0, 1)
+    w = verify_merge(Run(g, K1), o1, o2)
     assert w is not None and is_automorphism(g, w)
     # bridging the two edges needs a second level; budget 1 cuts it off
     monkeypatch.setattr(engine, "_default_depth_budget", lambda n: 1)
     run = Run(g, K1)
-    assert verify_merge(run, q, 0, 1) is None
+    assert verify_merge(run, o1, o2) is None
     assert run.stats.depth_budget_hits >= 1
 
 

@@ -201,6 +201,21 @@ def _stays_non_discrete(stage):
     return not stage.coloring.is_discrete()
 
 
+def reference_grow(run, stage, keep, exclude=()):
+    """Greedily lengthen stage's fix sequence while keep allows it: each step
+    fixes the first vertex in reference_candidate_order, not in exclude,
+    whose one-vertex extension satisfies keep. Returns the stage at which
+    no vertex's extension does."""
+    while True:
+        for y in reference_candidate_order(stage.coloring, exclude):
+            trial = run.stage(stage.fixes + (y,))
+            if keep(trial):
+                stage = trial
+                break
+        else:
+            return stage
+
+
 def reference_find_regular_stage(run):
     """Reference for engine.find_regular_stage's stage: the greedy search
     that refines candidates in order. Each step fixes the first vertex in
@@ -210,7 +225,7 @@ def reference_find_regular_stage(run):
     stage = run.stage(())
     if stage.coloring.is_discrete():
         return stage
-    return engine._extend(run, stage, _stays_non_discrete)
+    return reference_grow(run, stage, _stays_non_discrete)
 
 
 def seeded_regular_stage(run, seed):
@@ -225,7 +240,7 @@ def seeded_regular_stage(run, seed):
     if stage.coloring.is_discrete():
         return stage
     seeded = run.stage((seed,))
-    return engine._extend(run, seeded if _stays_non_discrete(seeded) else stage, _stays_non_discrete)
+    return reference_grow(run, seeded if _stays_non_discrete(seeded) else stage, _stays_non_discrete)
 
 
 def reference_compute_orbits(g, cfg=None):
@@ -245,7 +260,8 @@ def reference_compute_orbits(g, cfg=None):
     run) and starts over after each merge, until a pass merges nothing or
     the partition meets the stable coloring. The stage orbits come from
     form_grouped_stage_orbits, which refines every extension of the
-    regular stage, and the merges from the engine's own _verify_merge.
+    regular stage, and the merges from engine.verify_merge, called through
+    the module attribute so that a test can patch it.
     """
     run = engine.Run(g, cfg)
     stable = run._stage(()).coloring.vertex_partition
@@ -268,7 +284,7 @@ def reference_compute_orbits(g, cfg=None):
             untried = [key for key in reference_merge_candidates(q, stable) if key not in attempted]
             for key in untried:
                 attempted.add(key)
-                witness = engine._verify_merge(run, *key)
+                witness = engine.verify_merge(run, *key)
                 if witness is not None:
                     generators[witness] = None
                     q = partition_join(q, closure_orbits(g.n, [witness]))
@@ -286,7 +302,7 @@ def reference_compute_orbits(g, cfg=None):
 
 
 def reference_verify_merge(run, o1, o2):
-    """Reference for engine._verify_merge with no distance profiles: the
+    """Reference for engine.verify_merge with no distance profiles: the
     base-stage test, the twin step, then a fix sequence extended past o1
     and o2 alone, and the descent."""
 
@@ -307,7 +323,7 @@ def reference_verify_merge(run, o1, o2):
     if np.array_equal(colors[o1, swap], colors[o2]) and np.array_equal(colors[swap, o1], colors[:, o2]):
         witness = Permutation(swap)
     if witness is None:
-        stage = engine._extend(run, stage, together, exclude={o1, o2})
+        stage = reference_grow(run, stage, together, exclude={o1, o2})
         n = run.g.n
         t1 = run._stage(stage.fixes + (o1,))
         t2 = run._stage(stage.fixes + (o2,))
